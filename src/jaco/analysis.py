@@ -13,7 +13,6 @@ degree and that the subgraph above the prime vertex is complete.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -67,7 +66,8 @@ class VerificationReport:
 
 def edge_count_direct(g: JacoGraph) -> int:
     """Ground truth: sum of finite out-degrees."""
-    return sum(min(g.seq.reach[i], g.n) - i for i in range(1, g.n + 1))
+    a, n, c = g.a, g.n, g.seq.c
+    return sum(min(a * i + c[i], n) - i for i in range(1, n + 1))
 
 
 def edge_count_theorem(g: JacoGraph) -> int:
@@ -77,8 +77,9 @@ def edge_count_theorem(g: JacoGraph) -> int:
     on the n - k Hope vertices; everything else is counted by the finite
     out-degrees of v_1..v_k.
     """
-    k = jaconian(g).prime_index
-    d_out = degree_profile(g).d_out_finite
+    profile = degree_profile(g)
+    k = jaconian(g, profile).prime_index
+    d_out = profile.d_out_finite
     hope_size = g.n - k
     return hope_size * (hope_size - 1) // 2 + sum(d_out[1 : k + 1])
 
@@ -96,11 +97,9 @@ def edge_count_recursive(a: int, n_max: int) -> list[int]:
     seq = sequences.c_series(a, n_max)
     eps = [0]
     for n in range(1, n_max):
-        # total degree of v_i in J_n(a) is min(reach[i], n) - c[i]
-        d_tot = [min(seq.reach[i], n) - seq.c[i] for i in range(1, n + 1)]
-        delta = max(d_tot)
-        i = d_tot.index(delta) + 1
-        if delta == a * i:
+        info = jaconian(JacoGraph(a, n, seq))
+        i = info.prime_index
+        if info.delta == a * i:
             eps.append(eps[-1] - i + n)
         else:
             eps.append(eps[-1] - i + (n + 1))
@@ -137,12 +136,9 @@ def milestone_delta(a: int) -> MilestoneResult:
     bound = 2 * (target_delta + 1)
     seq = sequences.c_series(a, bound)
     for n in range(1, bound + 1):
-        d_tot = [min(seq.reach[i], n) - seq.c[i] for i in range(1, n + 1)]
-        delta = max(d_tot)
-        if delta == target_delta:
-            jset = [i + 1 for i, d in enumerate(d_tot) if d == delta]
-            if jset == [a + 1]:
-                return MilestoneResult(a, n)
+        info = jaconian(JacoGraph(a, n, seq))
+        if info.delta == target_delta and info.jaconian_set == (a + 1,):
+            return MilestoneResult(a, n)
     raise TheoremViolationError(
         f"no n <= {bound} has maximum degree {target_delta} attained by "
         f"v_{a + 1} alone; the milestone prediction is violated for a={a}"
@@ -330,7 +326,7 @@ def _claim_in_degree_stability(a_min, a_max, n):
             small = build(a, m)
             for j in range(1, small.n + 1):
                 if graph_mod.in_neighbors(small, j) != graph_mod.in_neighbors(big, j):
-                    return f"a[{a_min}..{a_max}] n<= {cap}", f"a={a} m={m} j={j}"
+                    return f"a[{a_min}..{a_max}] n<={cap}", f"a={a} m={m} j={j}"
     return f"a[{a_min}..{a_max}] n<={cap}", None
 
 
@@ -339,7 +335,7 @@ def _claim_monotone_delta(a_min, a_max, n):
         seq = sequences.c_series(a, n)
         prev = 0
         for m in range(1, n + 1):
-            delta = max(min(seq.reach[i], m) - seq.c[i] for i in range(1, m + 1))
+            delta = jaconian(JacoGraph(a, m, seq)).delta
             if delta < prev or delta > prev + 1:
                 return f"a[{a_min}..{a_max}] n[1..{n}]", f"a={a} n={m} delta {prev}->{delta}"
             prev = delta
@@ -349,8 +345,9 @@ def _claim_monotone_delta(a_min, a_max, n):
 def _claim_full_degree_prefix(a_min, a_max, n):
     for a in _grid(a_min, a_max):
         g = build(a, n)
-        d_tot = degree_profile(g).d_total
-        prime = jaconian(g).prime_index
+        profile = degree_profile(g)
+        d_tot = profile.d_total
+        prime = jaconian(g, profile).prime_index
         if d_tot[prime] == a * prime:
             for m in range(1, prime + 1):
                 if d_tot[m] != a * m:
@@ -386,11 +383,12 @@ def _claim_lowest_in_neighbor_attains_delta(a_min, a_max, n):
     for a in _grid(a_min, a_max):
         seq = sequences.c_series(a, n)
         for m in range(2, n + 1):
-            d_tot = [min(seq.reach[i], m) - seq.c[i] for i in range(1, m + 1)]
-            delta = max(d_tot)
-            if d_tot[seq.c[m] - 1] != delta:
+            g = JacoGraph(a, m, seq)
+            profile = degree_profile(g)
+            info = jaconian(g, profile)
+            if profile.d_total[seq.c[m]] != info.delta:
                 return f"a[{a_min}..{a_max}] n[2..{n}]", f"a={a} n={m}"
-            prime = d_tot.index(delta) + 1
+            prime = info.prime_index
             if prime not in (seq.c[m], seq.c[m] - 1):
                 return f"a[{a_min}..{a_max}] n[2..{n}]", f"a={a} n={m} prime={prime}"
     return f"a[{a_min}..{a_max}] n[2..{n}]", None
@@ -468,7 +466,7 @@ def _claim_psi_recursion(a_min, a_max, n):
 def _claim_psi_fast(a_min, a_max, n):
     for a in _grid(a_min, a_max):
         g = build(a, n)
-        _, fast = paths_mod._psi_fast(g.seq, n)
+        fast = paths_mod.path_table(g).psi
         slow = paths_mod.psi_oracle(g)
         if fast != slow:
             j = next(i for i in range(1, n + 1) if fast[i] != slow[i])
@@ -502,11 +500,10 @@ def _claim_psi_one_at_fib(a_min, a_max, n):
     if not a_min <= 1 <= a_max:
         return "a=1 (skipped: outside grid)", None
     psi = paths_mod.psi_oracle(build(1, n))
-    f, g = 1, 2
-    while f <= n:
-        if psi[f] != 1:
-            return f"a=1 fib<= {n}", f"f={f} psi={psi[f]}"
-        f, g = g, f + g
+    fibs = sequences.recurrence_terms(1, 0, 1, at_least=n)  # 0, 1, 1, 2, 3, 5, ...
+    for f in fibs[2:]:
+        if f <= n and psi[f] != 1:
+            return f"a=1 fib<={n}", f"f={f} psi={psi[f]}"
     return f"a=1 fib<={n}", None
 
 
@@ -514,11 +511,7 @@ def _claim_distance_roots(a_min, a_max, n):
     for a in _grid(a_min, a_max):
         g = build(a, n)
         roots = paths_mod.distance_roots(g)
-        liz = sequences.liz_terms(a, 2).terms
-        terms = list(liz)
-        while terms[-1] < n:
-            terms.append(a * terms[-1] + terms[-2])
-        liz_set = set(terms)
+        liz_set = set(sequences.recurrence_terms(a, 1, 1, at_least=n))
         for idx in roots.indices:
             if idx != n and idx not in liz_set:
                 return f"a[{a_min}..{a_max}] n={n}", f"a={a} index={idx}"
@@ -563,8 +556,8 @@ def verify_suite(a_min: int, a_max: int, n: int, jobs: int = 1) -> VerificationR
     """Run every registered claim over the grid a in [a_min, a_max], n.
 
     Deterministic: the claim order is fixed and each claim reports its
-    first counterexample.  With jobs > 1 claims are evaluated
-    concurrently; results are collected in registry order either way.
+    first counterexample.  jobs is validated and otherwise ignored: the
+    claims run serially.
     """
     check_order(a_min)
     if a_max < a_min:
@@ -574,17 +567,11 @@ def verify_suite(a_min: int, a_max: int, n: int, jobs: int = 1) -> VerificationR
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
 
-    def run(entry: tuple[str, ClaimFn]) -> ClaimResult:
-        claim_id, fn = entry
+    results = []
+    for claim_id, fn in _CLAIMS:
         checked, counterexample = fn(a_min, a_max, n)
-        return ClaimResult(claim_id, checked, counterexample is None, counterexample)
-
-    if jobs == 1:
-        results = tuple(run(entry) for entry in _CLAIMS)
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = tuple(pool.map(run, _CLAIMS))
-    return VerificationReport(results)
+        results.append(ClaimResult(claim_id, checked, counterexample is None, counterexample))
+    return VerificationReport(tuple(results))
 
 
 def render_report(report: VerificationReport) -> str:

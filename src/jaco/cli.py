@@ -66,7 +66,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a-min", type=_positive("a-min"), default=1)
     p.add_argument("--a-max", type=_positive("a-max"), default=3)
     p.add_argument("--n", type=_positive("n"), default=200)
-    p.add_argument("--jobs", type=_positive("jobs"), default=1)
+    p.add_argument("--jobs", type=_positive("jobs"), default=1,
+                   help="accepted and ignored; the claims run serially")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("paths", help="distances (and path counts) from v_1")
@@ -75,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--psi", action="store_true",
                    help="add the order-1 recursion path counts")
     p.add_argument("--oracle-psi", action="store_true",
-                   help="add dynamic-program path counts (any order)")
+                   help="add linear-time path counts (any order)")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("milestone", help="smallest n with maximum degree a(a+1)")
@@ -84,7 +85,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("conjecture", help="scan the non-repetitiveness conjecture")
     p.add_argument("--n", type=_positive("n"), required=True)
-    p.add_argument("--jobs", type=_positive("jobs"), default=1)
+    p.add_argument("--jobs", type=_positive("jobs"), default=1,
+                   help="accepted and ignored; the scan runs serially")
     p.add_argument("--out", default=None)
 
     return parser
@@ -147,7 +149,7 @@ def _cmd_paths(args) -> int:
     dist = paths.distances(g)
     psi = None
     if args.oracle_psi:
-        psi = paths.psi_oracle(g)
+        psi = paths.path_table(g).psi
     elif args.psi:
         if args.a != 1:
             print(

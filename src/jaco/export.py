@@ -35,7 +35,7 @@ def to_json(g: JacoGraph) -> str:
     is a [first, last] index pair or null when the Hope range is empty.
     """
     profile = degree_profile(g)
-    info = jaconian(g)
+    info = jaconian(g, profile)
     hope = [info.hope_range[0], info.hope_range[-1]] if len(info.hope_range) else None
     payload = {
         "a": g.a,
@@ -61,10 +61,11 @@ def to_csv(g: JacoGraph) -> str:
 
 def seq_dump(t: SequenceTable) -> str:
     """Tab-separated sequence table, one row per n from 0 to the horizon."""
+    a = t.a
     lines = ["n\tc\td_minus\td_plus\treach"]
     lines.extend(
-        f"{n}\t{t.c[n]}\t{t.dminus[n]}\t{t.dplus[n]}\t{t.reach[n]}"
-        for n in range(t.horizon + 1)
+        f"{n}\t{cn}\t{n - cn}\t{(a - 1) * n + cn}\t{a * n + cn}"
+        for n, cn in enumerate(t.c)
     )
     return "\n".join(lines) + "\n"
 

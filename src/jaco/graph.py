@@ -2,12 +2,13 @@
 
 Arcs are never stored: both neighborhoods of a vertex are contiguous
 index intervals, so a graph is just (a, n) plus the sequence table.  The
-out-neighbors of v_i are [i+1, min(reach[i], n)] and the in-neighbors of
+out-neighbors of v_i are [i+1, min(a*i + c[i], n)] and the in-neighbors of
 v_j are [c[j], j-1].  Vertex indexing is 1-based throughout.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -64,9 +65,9 @@ def _check_vertex(g: JacoGraph, i: int) -> None:
 
 
 def out_neighbors(g: JacoGraph, i: int) -> range:
-    """Heads of arcs leaving v_i: the interval [i+1, min(reach[i], n)]."""
+    """Heads of arcs leaving v_i: the interval [i+1, min(a*i + c[i], n)]."""
     _check_vertex(g, i)
-    return range(i + 1, min(g.seq.reach[i], g.n) + 1)
+    return range(i + 1, min(g.a * i + g.seq.c[i], g.n) + 1)
 
 
 def in_neighbors(g: JacoGraph, j: int) -> range:
@@ -84,21 +85,23 @@ def arcs(g: JacoGraph) -> Iterator[tuple[int, int]]:
 
 def degree_profile(g: JacoGraph) -> DegreeProfile:
     """In-, finite out- and total degree of every vertex of J_n(a)."""
-    seq = g.seq
-    n = g.n
-    d_in = [0] * (n + 1)
-    d_out = [0] * (n + 1)
-    d_tot = [0] * (n + 1)
-    for i in range(1, n + 1):
-        d_in[i] = i - seq.c[i]
-        d_out[i] = min(seq.reach[i], n) - i
-        d_tot[i] = d_in[i] + d_out[i]
-    return DegreeProfile(tuple(d_in), tuple(d_out), tuple(d_tot))
+    a, n, c = g.a, g.n, g.seq.c
+    # by the definition of c[n], the reach a*i + c[i] is >= n exactly when
+    # i >= c[n]; from there on the out-degree is truncated to n - i.  Index 0
+    # comes out as 0 because c[0] = 0.
+    k = c[n]
+    d_in = tuple([i - c[i] for i in range(n + 1)])
+    d_out = tuple([(a - 1) * i + c[i] for i in range(k)] + list(range(n - k, -1, -1)))
+    d_tot = tuple(map(operator.add, d_in, d_out))
+    return DegreeProfile(d_in, d_out, d_tot)
 
 
-def jaconian(g: JacoGraph) -> JaconianInfo:
-    """Maximum total degree, the vertices attaining it, and the Hope range."""
-    d_tot = degree_profile(g).d_total
+def jaconian(g: JacoGraph, profile: DegreeProfile | None = None) -> JaconianInfo:
+    """Maximum total degree, the vertices attaining it, and the Hope range.
+
+    A caller that already holds degree_profile(g) passes it as profile.
+    """
+    d_tot = (degree_profile(g) if profile is None else profile).d_total
     delta = max(d_tot[1:])
     jset = tuple(i for i in range(1, g.n + 1) if d_tot[i] == delta)
     prime = jset[0]
@@ -114,8 +117,9 @@ def hope_is_complete(g: JacoGraph) -> tuple[bool, tuple[int, int] | None]:
     hope = jaconian(g).hope_range
     if len(hope) < 2:
         return True, None
+    a, n, c = g.a, g.n, g.seq.c
     for i in hope:
-        last = min(g.seq.reach[i], g.n)
-        if last < g.n and i < g.n:
+        last = a * i + c[i]
+        if last < n:
             return False, (i, last + 1)
     return True, None

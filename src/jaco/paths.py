@@ -2,23 +2,24 @@
 for the open non-repetitiveness conjecture at order 1.
 
 Distances follow the forward recursion dist[i] = dist[c[i]] + 1 (the
-lowest in-neighbor always lies on a shortest path).  Path counts come in
-two independent flavors: the standard DAG dynamic program over
-in-neighbor windows, and, for order 1 only, the Fibonacci-window
-recursion paired with the "out-degree is a Fibonacci number" uniqueness
-criterion.  Out-degrees here are always the infinite-graph out-degrees
-dplus[j]; the finite graph would give the last vertex out-degree 0 and
+lowest in-neighbor always lies on a shortest path).  Path counts have one
+fast route, path_table, which is linear at every order; psi_oracle, the
+standard DAG dynamic program over in-neighbor windows, is its quadratic
+reference for the tests and the verification suite.  For order 1 only,
+psi_recursive is the Fibonacci-window recursion, paired with the
+"out-degree is a Fibonacci number" uniqueness criterion.  Out-degrees
+here are always the infinite-graph out-degrees dplus[j], which at order 1
+equal c[j]; the finite graph would give the last vertex out-degree 0 and
 trivialize every criterion.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .graph import JacoGraph, build
-from .sequences import SequenceTable, liz_terms
+from .sequences import recurrence_terms
 
 
 class UnsupportedOrderError(ValueError):
@@ -109,56 +110,26 @@ def psi_oracle(g: JacoGraph) -> tuple[int, ...]:
     return tuple(psi)
 
 
-def _psi_fast(seq: SequenceTable, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(dist, psi) in O(n) via prefix sums over distance strata.
+def path_table(g: JacoGraph) -> PathTable:
+    """Distances plus path counts for any order in O(n) via prefix sums.
 
-    Exploits that dist is non-decreasing in the vertex index, so the
-    in-neighbors one hop closer form a contiguous subwindow; the
-    monotonicity is checked and a plain window scan is the fallback.
-    Cross-checked against psi_oracle in the verification suite.
+    c is non-decreasing, so dist[i] = dist[c[i]] + 1 is too (by induction);
+    hence the in-neighbors of v_j one hop closer are exactly [c[j], s-1],
+    where s is the first vertex at v_j's distance.
     """
-    c = seq.c
-    dist = [0] * (n + 1)
-    monotone = True
-    for i in range(2, n + 1):
-        dist[i] = dist[c[i]] + 1
-        if dist[i] < dist[i - 1]:
-            monotone = False
+    n, c = g.n, g.seq.c
+    dist = distances(g)
     psi = [0] * (n + 1)
     psi[1] = 1
-    if not monotone:
-        for j in range(2, n + 1):
-            d = dist[j]
-            psi[j] = sum(psi[i] for i in range(c[j], j) if dist[i] + 1 == d)
-        return tuple(dist), tuple(psi)
-    first: dict[int, int] = {0: 1}
-    for i in range(2, n + 1):
-        if dist[i] != dist[i - 1]:
-            first[dist[i]] = i
-    prefix = [0] * (n + 2)  # prefix[i+1] = psi[1] + ... + psi[i]
+    prefix = [0] * (n + 2)  # prefix[i] = psi[1] + ... + psi[i-1]
     prefix[2] = 1
+    s = 1
     for j in range(2, n + 1):
-        d = dist[j]
-        lo = max(c[j], first[d - 1])
-        hi = min(j - 1, first.get(d, n + 1) - 1)
-        if lo <= hi:
-            psi[j] = prefix[hi + 1] - prefix[lo]
+        if dist[j] != dist[j - 1]:
+            s = j
+        psi[j] = prefix[s] - prefix[c[j]]
         prefix[j + 1] = prefix[j] + psi[j]
-    return tuple(dist), tuple(psi)
-
-
-def path_table(g: JacoGraph) -> PathTable:
-    """Distances plus path counts for any order, using the fast count."""
-    dist, psi = _psi_fast(g.seq, g.n)
-    return PathTable(g.a, g.n, dist, psi)
-
-
-def _fib_below(limit: int) -> list[int]:
-    """Positive Fibonacci numbers 1, 2, 3, 5, 8, ... up to limit."""
-    fibs = [1, 2]
-    while fibs[-1] <= limit:
-        fibs.append(fibs[-1] + fibs[-2])
-    return [f for f in fibs if f <= limit]
+    return PathTable(g.a, n, dist, tuple(psi))
 
 
 def psi_recursive(g: JacoGraph) -> tuple[int, ...]:
@@ -172,13 +143,12 @@ def psi_recursive(g: JacoGraph) -> tuple[int, ...]:
     if g.a != 1:
         raise UnsupportedOrderError(g.a, "the Fibonacci-window recursion")
     c = g.seq.c
-    dplus = g.seq.dplus
-    fibs = _fib_below(max(g.n, 2))
+    fibs = recurrence_terms(1, 0, 1, at_least=g.n)  # 0, 1, 1, 2, 3, 5, ...
     fibset = set(fibs)
     psi = [0] * (g.n + 1)
     psi[1] = 1
     for j in range(2, g.n + 1):
-        if dplus[j] in fibset:
+        if c[j] in fibset:  # at order 1, dplus[j] = c[j]
             psi[j] = 1
         else:
             f_t = fibs[bisect_left(fibs, j) - 1]  # largest Fibonacci < j
@@ -190,25 +160,19 @@ def uniqueness_check(g: JacoGraph) -> UniquenessReport:
     """Compare path uniqueness with the Fibonacci out-degree criterion."""
     if g.a != 1:
         raise UnsupportedOrderError(g.a, "the uniqueness criterion")
-    psi = psi_oracle(g)
-    fibset = set(_fib_below(g.seq.dplus[g.n] + 1))
+    psi = path_table(g).psi
+    dplus = g.seq.c  # at order 1, dplus[j] = c[j]
+    fibset = set(recurrence_terms(1, 0, 1, at_least=dplus[g.n]))
     unique = [False] + [psi[j] == 1 for j in range(1, g.n + 1)]
-    criterion = [False] + [g.seq.dplus[j] in fibset for j in range(1, g.n + 1)]
+    criterion = [False] + [dplus[j] in fibset for j in range(1, g.n + 1)]
     mismatches = tuple(j for j in range(1, g.n + 1) if unique[j] != criterion[j])
     return UniquenessReport(tuple(unique), tuple(criterion), mismatches)
 
 
 def distance_roots(g: JacoGraph) -> DistanceRootSet:
     """Liz-number indices strictly below n, plus n itself."""
-    indices = {g.n}
-    m = 2
-    liz = liz_terms(g.a, max(2, m))
-    terms = list(liz.terms)
-    while terms[-1] < g.n:
-        terms.append(g.a * terms[-1] + terms[-2])
-    for b in terms[2:]:
-        if b < g.n:
-            indices.add(b)
+    liz = recurrence_terms(g.a, 1, 1, at_least=g.n)  # B_1, B_2, ...
+    indices = {g.n, *(b for b in liz if b < g.n)}
     return DistanceRootSet(g.a, g.n, tuple(sorted(indices)))
 
 
@@ -221,33 +185,26 @@ def conjecture_scan(n_max: int, jobs: int = 1) -> ConjectureReport:
 
     For each k the out-degree triple at (k-1, k, k+1) and the path-count
     triple are classified as repetitive or not, and both implication
-    directions are recorded.  The row computation is pure, so sharding
-    the k-range across workers cannot change the merged report.
+    directions are recorded.  jobs is validated and otherwise ignored:
+    the scan runs serially.
     """
     if n_max < 9:
         raise ValueError(f"n_max must be >= 9, got {n_max}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     g = build(1, n_max)
-    dplus = g.seq.dplus
-    _, psi = _psi_fast(g.seq, n_max)
-
-    def row(k: int) -> tuple[int, tuple[int, int, int], tuple[int, int, int], bool, bool]:
+    dplus = g.seq.c  # at order 1, dplus[k] = c[k]
+    psi = path_table(g).psi
+    rows = []
+    for k in range(7, n_max):
         dtriple = (dplus[k - 1], dplus[k], dplus[k + 1])
         ptriple = (psi[k - 1], psi[k], psi[k + 1])
         d_nr = _non_repetitive(*dtriple)
         p_nr = _non_repetitive(*ptriple)
         forward = p_nr if d_nr else True
         converse = d_nr if p_nr else True
-        return (k, dtriple, ptriple, forward, converse)
-
-    ks = range(7, n_max)
-    if jobs == 1:
-        rows = tuple(row(k) for k in ks)
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = tuple(pool.map(row, ks))
-    return ConjectureReport(n_max, rows)
+        rows.append((k, dtriple, ptriple, forward, converse))
+    return ConjectureReport(n_max, tuple(rows))
 
 
 def render_conjecture(report: ConjectureReport) -> str:

@@ -3,18 +3,23 @@
 The central object is the lowest-in-neighbor series c: c[0] = 0, c[1] = 1
 and, for n >= 2, c[n] is the least k < n with a*k + c[k] >= n.  From it
 follow the in-degree (n - c[n]), the out-degree ((a-1)*n + c[n]) and the
-reach (a*n + c[n]) of every vertex of the infinite order-a graph.
+reach (a*n + c[n]) of every vertex of the infinite order-a graph.  Only c
+is stored; the three derived columns are computed on first access.
 
 The same series has a closed form over the generalized Lucas basis
 U(a, -1): expand n in the unique constrained digit expansion over that
 basis, shift every basis index down by one and add a 0/1 correction term.
-All arithmetic is exact (Python integers widen as needed).
+All arithmetic is exact (Python integers widen as needed).  Every
+sequence obeying x[i+1] = a*x[i] + x[i-1] (the Lucas basis, the Liz
+numbers, the Fibonacci numbers) comes from one cached builder,
+recurrence_terms.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class ZeckDigitError(ValueError):
@@ -62,7 +67,7 @@ class ZeckRep:
 
 @dataclass(frozen=True)
 class SequenceTable:
-    """The series c[0..horizon] and its derived degree columns.
+    """The series c[0..horizon]; the degree columns are derived on demand.
 
     dminus[n] = n - c[n], dplus[n] = (a-1)*n + c[n], reach[n] = a*n + c[n].
     """
@@ -70,20 +75,32 @@ class SequenceTable:
     a: int
     horizon: int
     c: tuple[int, ...]
-    dminus: tuple[int, ...]
-    dplus: tuple[int, ...]
-    reach: tuple[int, ...]
+
+    @cached_property
+    def dminus(self) -> tuple[int, ...]:
+        return tuple(n - cn for n, cn in enumerate(self.c))
+
+    @cached_property
+    def dplus(self) -> tuple[int, ...]:
+        return tuple((self.a - 1) * n + cn for n, cn in enumerate(self.c))
+
+    @cached_property
+    def reach(self) -> tuple[int, ...]:
+        return tuple(self.a * n + cn for n, cn in enumerate(self.c))
 
 
-# Lucas basis terms per order, grown on demand.  Purely additive cache:
-# concurrent readers can at worst recompute the same extension.
-_BASIS_CACHE: dict[int, list[int]] = {}
+# Terms of x[i+1] = a*x[i] + x[i-1] per (a, x[0], x[1]), grown on demand.
+_TERMS_CACHE: dict[tuple[int, int, int], list[int]] = {}
 
 
-def _basis_upto(a: int, value: int) -> list[int]:
-    """Return cached Lucas terms for order a, with last term >= value."""
-    terms = _BASIS_CACHE.setdefault(a, [0, 1, a])
-    while terms[-1] < value:
+def recurrence_terms(a: int, x0: int, x1: int, *, count: int = 0, at_least: int = 0) -> list[int]:
+    """Cached x[0], x[1], ... of x[i+1] = a*x[i] + x[i-1].
+
+    The list holds at least count terms and its last term is >= at_least.
+    It is shared between callers and must not be mutated.
+    """
+    terms = _TERMS_CACHE.setdefault((a, x0, x1), [x0, x1])
+    while len(terms) < count or terms[-1] < at_least:
         terms.append(a * terms[-1] + terms[-2])
     return terms
 
@@ -93,10 +110,7 @@ def lucas_terms(a: int, m: int) -> LucasBasis:
     check_order(a)
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    terms = [0, 1]
-    for _ in range(m - 1):
-        terms.append(a * terms[-1] + terms[-2])
-    return LucasBasis(a, tuple(terms))
+    return LucasBasis(a, tuple(recurrence_terms(a, 0, 1, count=m + 1)[: m + 1]))
 
 
 def liz_terms(a: int, m: int) -> LizSequence:
@@ -104,14 +118,12 @@ def liz_terms(a: int, m: int) -> LizSequence:
     check_order(a)
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
-    terms = [0, 1, 1]
-    for _ in range(m - 2):
-        terms.append(a * terms[-1] + terms[-2])
-    return LizSequence(a, tuple(terms))
+    # B_0 = 0 stands outside the recurrence, which starts at B_1 = B_2 = 1
+    return LizSequence(a, (0, *recurrence_terms(a, 1, 1, count=m)[:m]))
 
 
 def c_series(a: int, horizon: int) -> SequenceTable:
-    """Compute c[0..horizon] and derived columns in O(horizon).
+    """Compute c[0..horizon] in O(horizon).
 
     The defining minimization is a scan over k < n, but the minimizing k
     never decreases as n grows, so a single forward pointer suffices.
@@ -127,10 +139,7 @@ def c_series(a: int, horizon: int) -> SequenceTable:
         while a * k + c[k] < n:
             k += 1
         c[n] = k
-    dminus = [n - c[n] for n in range(horizon + 1)]
-    dplus = [(a - 1) * n + c[n] for n in range(horizon + 1)]
-    reach = [a * n + c[n] for n in range(horizon + 1)]
-    return SequenceTable(a, horizon, tuple(c), tuple(dminus), tuple(dplus), tuple(reach))
+    return SequenceTable(a, horizon, tuple(c))
 
 
 def zeck_encode(a: int, n: int) -> ZeckRep:
@@ -146,7 +155,7 @@ def zeck_encode(a: int, n: int) -> ZeckRep:
         raise ValueError(f"value must be >= 0, got {n}")
     if n == 0:
         return ZeckRep(a, ())
-    terms = _basis_upto(a, n)
+    terms = recurrence_terms(a, 0, 1, count=3, at_least=n)
     m = bisect_right(terms, n) - 1
     if m < 2:
         m = 2
@@ -190,9 +199,7 @@ def zeck_decode(a: int, rep: ZeckRep) -> int:
     validate_digits(rep)
     if not rep.digits:
         return 0
-    terms = _basis_upto(a, 2)
-    while len(terms) <= len(rep.digits):
-        terms.append(a * terms[-1] + terms[-2])
+    terms = recurrence_terms(a, 0, 1, count=len(rep.digits) + 1)
     return sum(alpha * terms[i + 1] for i, alpha in enumerate(rep.digits))
 
 
@@ -225,7 +232,7 @@ def c_closed(a: int, n: int) -> int:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     rep = zeck_encode(a, n)
-    terms = _basis_upto(a, n)
+    terms = recurrence_terms(a, 0, 1, at_least=n)
     # digit alpha_{i+1} (0-based index i) contributes alpha * U_i
     return sum(alpha * terms[i] for i, alpha in enumerate(rep.digits) if alpha) + tau(rep)
 
@@ -239,5 +246,5 @@ def bettina_dplus(n: int) -> int:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     rep = zeck_encode(1, n)
-    terms = _basis_upto(1, n)
+    terms = recurrence_terms(1, 0, 1, at_least=n)
     return sum(alpha * terms[i] for i, alpha in enumerate(rep.digits) if alpha)

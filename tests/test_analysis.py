@@ -103,20 +103,49 @@ class TestVerifySuite:
         ids = [line.split()[1] for line in lines[:-1]]
         assert len(ids) == len(set(ids))  # every claim exactly once
 
-    def test_injected_fault_is_pinpointed(self, monkeypatch):
-        # perturbing the closed form must fail exactly that claim, with a
-        # counterexample naming the parameters
-        real = analysis.sequences.c_closed
-
-        def warped(a, n):
-            value = real(a, n)
-            return value + 1 if (a, n) == (2, 17) else value
-
-        monkeypatch.setattr(analysis.sequences, "c_closed", warped)
-        report = verify_suite(2, 2, 40)
+    @pytest.mark.parametrize(
+        "target, warp, grid, failures",
+        [
+            pytest.param(
+                (analysis.sequences, "c_closed"),
+                lambda real: lambda a, n: real(a, n) + ((a, n) == (2, 17)),
+                (2, 2, 40),
+                {"seq.closed_form": "a=2 n=17"},
+                id="closed_form",
+            ),
+            pytest.param(
+                (analysis.graph_mod, "in_neighbors"),
+                lambda real: lambda g, j: range(0) if (g.n, j) == (20, 5) else real(g, j),
+                (2, 2, 40),
+                {"graph.in_degree_stability": "a=2 m=20 j=5"},
+                id="in_degree_stability",
+            ),
+            pytest.param(
+                (analysis.paths_mod, "psi_oracle"),
+                lambda real: lambda g: tuple(
+                    p + (g.n == 40 and j == 8) for j, p in enumerate(real(g))
+                ),
+                (1, 1, 40),
+                {
+                    "paths.psi_recursion_matches_dp": "j=8 recursion=1 dp=2",
+                    "paths.psi_fast_matches_dp": "a=1 j=8",
+                    "paths.psi_one_at_fibonacci": "f=8 psi=2",
+                },
+                id="psi_one_at_fib",
+            ),
+        ],
+    )
+    def test_injected_fault_is_pinpointed(self, monkeypatch, target, warp, grid, failures):
+        # a perturbed route must fail exactly the claims that read it, with
+        # a counterexample naming the parameters and the same checked range
+        # the claim reports when it passes
+        passing = {c.claim_id: c.checked for c in verify_suite(*grid).claims}
+        module, name = target
+        monkeypatch.setattr(module, name, warp(getattr(module, name)))
+        report = verify_suite(*grid)
         failed = [c for c in report.claims if not c.passed]
-        assert [c.claim_id for c in failed] == ["seq.closed_form"]
-        assert failed[0].counterexample == "a=2 n=17"
+        assert {c.claim_id: c.counterexample for c in failed} == failures
+        assert all(c.checked == passing[c.claim_id] for c in failed)
         assert not report.passed
         assert render_report(report).splitlines()[-1] == "OVERALL FAIL"
 
@@ -135,8 +164,7 @@ def test_milestone_reports_violation_when_search_exhausts(monkeypatch):
     from jaco.sequences import SequenceTable
 
     def flat_table(a, horizon):
-        zeros = tuple([0] * (horizon + 1))
-        return SequenceTable(a, horizon, zeros, zeros, zeros, zeros)
+        return SequenceTable(a, horizon, tuple([0] * (horizon + 1)))
 
     monkeypatch.setattr(analysis.sequences, "c_series", flat_table)
     with pytest.raises(TheoremViolationError):

@@ -1,6 +1,8 @@
 import pytest
 
 from jaco.cli import main
+from jaco.graph import build
+from jaco.paths import psi_oracle
 
 
 def run(capsys, *argv):
@@ -128,6 +130,13 @@ class TestPaths:
         code, out, _ = run(capsys, "paths", "--a", "2", "--n", "5", "--oracle-psi")
         assert code == 0
         assert all(len(line.split()) == 3 for line in out.splitlines())
+        for a in (1, 2, 3):
+            for n in (1, 2, 13, 300):
+                code, out, _ = run(capsys, "paths", "--a", str(a), "--n", str(n),
+                                   "--oracle-psi")
+                assert code == 0
+                printed = [int(line.split()[2]) for line in out.splitlines()]
+                assert printed == list(psi_oracle(build(a, n))[1:])
 
 
 class TestMilestone:

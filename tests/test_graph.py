@@ -36,6 +36,10 @@ class TestBuild:
             assert set(arcs(g)) == naive_arcs
             profile = degree_profile(g)
             assert list(profile.d_in) == naive_din
+            naive_dout = [0] * (n + 1)
+            for i, _ in naive_arcs:
+                naive_dout[i] += 1
+            assert list(profile.d_out_finite) == naive_dout
 
 
 class TestNeighborhoods:

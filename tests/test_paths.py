@@ -4,7 +4,6 @@ from jaco.graph import build
 from jaco.oracles import bfs_distances, enumerate_shortest_paths
 from jaco.paths import (
     UnsupportedOrderError,
-    _psi_fast,
     conjecture_scan,
     distance_roots,
     distances,
@@ -75,8 +74,14 @@ class TestPsiFast:
     @pytest.mark.parametrize("a", [1, 2, 3, 4])
     def test_matches_oracle(self, a):
         g = build(a, 600)
-        _, fast = _psi_fast(g.seq, g.n)
-        assert fast == psi_oracle(g)
+        assert path_table(g).psi == psi_oracle(g)
+
+    @pytest.mark.parametrize("a", [1, 2, 3, 4, 5])
+    def test_dist_non_decreasing(self, a):
+        # path_table relies on this; distances are stable under truncation,
+        # so one graph covers every n <= 2*10^4
+        dist = path_table(build(a, 20_000)).dist
+        assert all(dist[i] <= dist[i + 1] for i in range(1, 20_000))
 
     def test_path_table(self):
         t = path_table(build(1, 13))
