@@ -13,14 +13,26 @@ degree and that the subgraph above the prime vertex is complete.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable
 
 from . import graph as graph_mod
 from . import oracles
 from . import paths as paths_mod
 from . import sequences
-from .graph import JacoGraph, arcs, build, degree_profile, hope_is_complete, jaconian
+from .graph import (
+    JacoGraph,
+    JaconianInfo,
+    arcs,
+    build,
+    degree_profile,
+    hope_is_complete,
+    in_neighbors,
+    jaconian,
+    out_neighbors,
+)
 from .sequences import check_order
 
 
@@ -64,24 +76,29 @@ class VerificationReport:
         return all(c.passed for c in self.claims)
 
 
+def _out_arcs(g: JacoGraph, k: int) -> int:
+    """Arcs leaving v_1..v_k: the sum of min(a*i + c[i], n) - i over i <= k."""
+    a, n, c = g.a, g.n, g.seq.c
+    reach = map(operator.add, range(a, a * k + 1, a), c[1 : k + 1])
+    return sum(map(min, reach, repeat(n))) - k * (k + 1) // 2
+
+
 def edge_count_direct(g: JacoGraph) -> int:
     """Ground truth: sum of finite out-degrees."""
-    a, n, c = g.a, g.n, g.seq.c
-    return sum(min(a * i + c[i], n) - i for i in range(1, n + 1))
+    return _out_arcs(g, g.n)
 
 
-def edge_count_theorem(g: JacoGraph) -> int:
+def edge_count_theorem(g: JacoGraph, info: JaconianInfo | None = None) -> int:
     """Edge total via the Hope decomposition.
 
     Arcs with tail above the prime index k live in the complete subgraph
     on the n - k Hope vertices; everything else is counted by the finite
-    out-degrees of v_1..v_k.
+    out-degrees of v_1..v_k.  A caller that already holds jaconian(g)
+    passes it as info.
     """
-    profile = degree_profile(g)
-    k = jaconian(g, profile).prime_index
-    d_out = profile.d_out_finite
+    k = (jaconian(g) if info is None else info).prime_index
     hope_size = g.n - k
-    return hope_size * (hope_size - 1) // 2 + sum(d_out[1 : k + 1])
+    return hope_size * (hope_size - 1) // 2 + _out_arcs(g, k)
 
 
 def edge_count_recursive(a: int, n_max: int) -> list[int]:
@@ -96,8 +113,7 @@ def edge_count_recursive(a: int, n_max: int) -> list[int]:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     seq = sequences.c_series(a, n_max)
     eps = [0]
-    for n in range(1, n_max):
-        info = jaconian(JacoGraph(a, n, seq))
+    for n, info in enumerate(graph_mod.prefix_jaconians(seq, n_max - 1), 1):
         i = info.prime_index
         if info.delta == a * i:
             eps.append(eps[-1] - i + n)
@@ -135,8 +151,7 @@ def milestone_delta(a: int) -> MilestoneResult:
     target_delta = a * (a + 1)
     bound = 2 * (target_delta + 1)
     seq = sequences.c_series(a, bound)
-    for n in range(1, bound + 1):
-        info = jaconian(JacoGraph(a, n, seq))
+    for n, info in enumerate(graph_mod.prefix_jaconians(seq, bound), 1):
         if info.delta == target_delta and info.jaconian_set == (a + 1,):
             return MilestoneResult(a, n)
     raise TheoremViolationError(
@@ -331,14 +346,17 @@ def _claim_in_degree_stability(a_min, a_max, n):
 
 
 def _claim_monotone_delta(a_min, a_max, n):
+    # the last prefix is also checked against the full scan of J_n(a)
     for a in _grid(a_min, a_max):
         seq = sequences.c_series(a, n)
         prev = 0
-        for m in range(1, n + 1):
-            delta = jaconian(JacoGraph(a, m, seq)).delta
+        for m, info in enumerate(graph_mod.prefix_jaconians(seq, n), 1):
+            delta = info.delta
             if delta < prev or delta > prev + 1:
                 return f"a[{a_min}..{a_max}] n[1..{n}]", f"a={a} n={m} delta {prev}->{delta}"
             prev = delta
+        if info != jaconian(JacoGraph(a, n, seq)):
+            return f"a[{a_min}..{a_max}] n[1..{n}]", f"a={a} n={n} sweep differs from full scan"
     return f"a[{a_min}..{a_max}] n[1..{n}]", None
 
 
@@ -382,11 +400,12 @@ def _claim_lowest_in_neighbor_attains_delta(a_min, a_max, n):
     # maximum degree (the stated "prime = c[n]" fails at degree ties)
     for a in _grid(a_min, a_max):
         seq = sequences.c_series(a, n)
-        for m in range(2, n + 1):
+        for m, info in enumerate(graph_mod.prefix_jaconians(seq, n), 1):
+            if m < 2:
+                continue
             g = JacoGraph(a, m, seq)
-            profile = degree_profile(g)
-            info = jaconian(g, profile)
-            if profile.d_total[seq.c[m]] != info.delta:
+            lowest = seq.c[m]
+            if len(in_neighbors(g, lowest)) + len(out_neighbors(g, lowest)) != info.delta:
                 return f"a[{a_min}..{a_max}] n[2..{n}]", f"a={a} n={m}"
             prime = info.prime_index
             if prime not in (seq.c[m], seq.c[m] - 1):
@@ -396,8 +415,9 @@ def _claim_lowest_in_neighbor_attains_delta(a_min, a_max, n):
 
 def _claim_hope_complete(a_min, a_max, n):
     for a in _grid(a_min, a_max):
-        for m in range(1, n + 1):
-            ok, witness = hope_is_complete(build(a, m))
+        seq = sequences.c_series(a, n)
+        for m, info in enumerate(graph_mod.prefix_jaconians(seq, n), 1):
+            ok, witness = hope_is_complete(JacoGraph(a, m, seq), info)
             if not ok:
                 return f"a[{a_min}..{a_max}] n[1..{n}]", f"a={a} n={m} missing={witness}"
     return f"a[{a_min}..{a_max}] n[1..{n}]", None
@@ -407,10 +427,10 @@ def _claim_edge_triple(a_min, a_max, n):
     for a in _grid(a_min, a_max):
         rec = edge_count_recursive(a, n)
         seq = sequences.c_series(a, n)
-        for m in range(1, n + 1):
+        for m, info in enumerate(graph_mod.prefix_jaconians(seq, n), 1):
             g = JacoGraph(a, m, seq)
             direct = edge_count_direct(g)
-            thm = edge_count_theorem(g)
+            thm = edge_count_theorem(g, info)
             if not direct == thm == rec[m - 1]:
                 return (
                     f"a[{a_min}..{a_max}] n[1..{n}]",

@@ -108,13 +108,52 @@ def jaconian(g: JacoGraph, profile: DegreeProfile | None = None) -> JaconianInfo
     return JaconianInfo(delta, jset, prime, range(prime + 1, g.n + 1))
 
 
-def hope_is_complete(g: JacoGraph) -> tuple[bool, tuple[int, int] | None]:
+def prefix_jaconians(seq: SequenceTable, n: int) -> Iterator[JaconianInfo]:
+    """Yield jaconian(J_m(a)) for m = 1..n, in one forward pass over seq.
+
+    In J_m(a) vertex v_i has degree min(reach_i, m) - c[i], where
+    reach_i = a*i + c[i] increases with i.  The vertices with reach_i <= m
+    are therefore a prefix v_1..v_{f-1} whose degrees no longer change: their
+    running maximum and the vertices attaining it are kept as they freeze.
+    Every later vertex has degree m - c[i], largest at v_f because c is
+    non-decreasing, and tied exactly over the run v_f..v_{e-1} where
+    c[i] = c[f].  Both pointers only move forward, so the pass costs O(n)
+    plus the total length of the Jaconian sets it yields.
+    """
+    if n > seq.horizon:
+        raise ValueError(f"prefix count n={n} exceeds the table horizon {seq.horizon}")
+    a, c = seq.a, seq.c
+    frozen_delta, frozen_set = -1, []
+    f = e = 1
+    for m in range(1, n + 1):
+        while f <= m and a * f + c[f] <= m:
+            degree = (f - c[f]) + (a * f + c[f] - f)
+            if degree > frozen_delta:
+                frozen_delta, frozen_set = degree, [f]
+            elif degree == frozen_delta:
+                frozen_set.append(f)
+            f += 1
+        e = max(e, f)
+        while e <= m and c[e] == c[f]:
+            e += 1
+        top = m - c[f] if f <= m else -1
+        delta = max(frozen_delta, top)
+        jset = tuple(frozen_set) if frozen_delta == delta else ()
+        if top == delta:
+            jset += tuple(range(f, e))
+        yield JaconianInfo(delta, jset, jset[0], range(jset[0] + 1, m + 1))
+
+
+def hope_is_complete(
+    g: JacoGraph, info: JaconianInfo | None = None
+) -> tuple[bool, tuple[int, int] | None]:
     """Whether the subgraph above the prime index is complete.
 
     Returns (True, None) or (False, first missing pair).  Vacuously true
-    for Hope ranges with fewer than two vertices.
+    for Hope ranges with fewer than two vertices.  A caller that already
+    holds jaconian(g) passes it as info.
     """
-    hope = jaconian(g).hope_range
+    hope = (jaconian(g) if info is None else info).hope_range
     if len(hope) < 2:
         return True, None
     a, n, c = g.a, g.n, g.seq.c

@@ -1,6 +1,9 @@
+import dataclasses
+from collections import Counter
+
 import pytest
 
-from jaco import analysis
+from jaco import analysis, graph
 from jaco.analysis import (
     TheoremViolationError,
     complete_prefix_count,
@@ -133,6 +136,23 @@ class TestVerifySuite:
                 },
                 id="psi_one_at_fib",
             ),
+            pytest.param(
+                (analysis.graph_mod, "prefix_jaconians"),
+                lambda real: lambda seq, n: (
+                    dataclasses.replace(info, delta=info.delta + 1) if m == 20 else info
+                    for m, info in enumerate(real(seq, n), 1)
+                ),
+                (1, 1, 40),
+                {
+                    "graph.monotone_delta": "a=1 n=20 delta 11->13",
+                    "graph.lowest_in_neighbor_attains_delta": "a=1 n=20",
+                    # the recurrence reads J_20's info to grow J_20 into J_21
+                    "analysis.edge_count_triple_agreement": (
+                        "a=1 n=21 direct=86 theorem=86 recursive=87"
+                    ),
+                },
+                id="prefix_sweep_delta",
+            ),
         ],
     )
     def test_injected_fault_is_pinpointed(self, monkeypatch, target, warp, grid, failures):
@@ -156,6 +176,31 @@ class TestVerifySuite:
             verify_suite(1, 1, 0)
         with pytest.raises(ValueError):
             verify_suite(1, 1, 10, jobs=0)
+
+
+def test_prefix_searches_do_not_rescan_per_prefix(monkeypatch):
+    # the prefix searches read the one-pass sweep: a full degree scan per
+    # prefix m would make these call counts grow with n and a
+    calls = Counter()
+    for name in ("degree_profile", "jaconian"):
+        real = getattr(graph, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        for module in (graph, analysis):
+            monkeypatch.setattr(module, name, counted)
+
+    def count(fn, *args):
+        calls.clear()
+        fn(*args)
+        return dict(calls)
+
+    assert count(milestone_delta, 12) == count(milestone_delta, 24)
+    small = count(verify_suite, 1, 3, 80)
+    assert small == count(verify_suite, 1, 3, 160)
+    assert small["jaconian"] > 0  # the counters do see the suite's own calls
 
 
 def test_milestone_reports_violation_when_search_exhausts(monkeypatch):

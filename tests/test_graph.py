@@ -1,6 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jaco.graph import (
+    JacoGraph,
     arcs,
     build,
     degree_profile,
@@ -8,8 +11,10 @@ from jaco.graph import (
     in_neighbors,
     jaconian,
     out_neighbors,
+    prefix_jaconians,
 )
 from jaco.oracles import naive_build
+from jaco.sequences import c_series
 
 
 class TestBuild:
@@ -141,6 +146,28 @@ class TestJaconian:
             info = jaconian(build(a, m))
             assert info.delta == m - 1
             assert info.jaconian_set == tuple(range(1, m + 1))
+
+
+class TestPrefixJaconians:
+    @pytest.mark.parametrize("a", [1, 2, 3, 4, 5, 6])
+    def test_matches_full_scan_at_every_prefix(self, a):
+        seq = c_series(a, 2000)
+        for m, info in enumerate(prefix_jaconians(seq, 2000), 1):
+            assert info == jaconian(JacoGraph(a, m, seq)), f"a={a} m={m}"
+        assert m == 2000
+
+    @given(a=st.integers(1, 40), n=st.integers(1, 3000), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_full_scan_property(self, a, n, data):
+        seq = c_series(a, n)
+        probes = {n, data.draw(st.integers(1, n)), data.draw(st.integers(1, min(n, 3 * a)))}
+        for m, info in enumerate(prefix_jaconians(seq, n), 1):
+            if m in probes:
+                assert info == jaconian(JacoGraph(a, m, seq)), f"a={a} m={m}"
+
+    def test_beyond_horizon_rejected(self):
+        with pytest.raises(ValueError):
+            next(prefix_jaconians(c_series(2, 10), 11))
 
 
 class TestHope:
