@@ -150,15 +150,15 @@ def hope_is_complete(
     """Whether the subgraph above the prime index is complete.
 
     Returns (True, None) or (False, first missing pair).  Vacuously true
-    for Hope ranges with fewer than two vertices.  A caller that already
-    holds jaconian(g) passes it as info.
+    for Hope ranges with fewer than two vertices.  The reach a*i + c[i]
+    increases with i, so only the first Hope vertex can fall short of v_n.
+    A caller that already holds jaconian(g) passes it as info.
     """
     hope = (jaconian(g) if info is None else info).hope_range
     if len(hope) < 2:
         return True, None
-    a, n, c = g.a, g.n, g.seq.c
-    for i in hope:
-        last = a * i + c[i]
-        if last < n:
-            return False, (i, last + 1)
+    i = hope[0]
+    last = g.a * i + g.seq.c[i]
+    if last < g.n:
+        return False, (i, last + 1)
     return True, None

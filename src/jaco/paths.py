@@ -180,18 +180,15 @@ def _non_repetitive(x: int, y: int, z: int) -> bool:
     return x != y and y != z
 
 
-def conjecture_scan(n_max: int, jobs: int = 1) -> ConjectureReport:
+def conjecture_scan(n_max: int) -> ConjectureReport:
     """Scan the order-1 non-repetitiveness biconditional up to n_max - 1.
 
     For each k the out-degree triple at (k-1, k, k+1) and the path-count
     triple are classified as repetitive or not, and both implication
-    directions are recorded.  jobs is validated and otherwise ignored:
-    the scan runs serially.
+    directions are recorded.
     """
     if n_max < 9:
         raise ValueError(f"n_max must be >= 9, got {n_max}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
     g = build(1, n_max)
     dplus = g.seq.c  # at order 1, dplus[k] = c[k]
     psi = path_table(g).psi

@@ -1,5 +1,6 @@
 import dataclasses
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +18,8 @@ from jaco.analysis import (
 )
 from jaco.graph import build
 from jaco.oracles import naive_build
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 class TestEdgeCounts:
@@ -90,10 +93,18 @@ class TestVerifySuite:
         report = verify_suite(1, 1, 1)
         assert report.passed
 
-    def test_deterministic_across_jobs(self):
-        serial = render_report(verify_suite(1, 2, 60, jobs=1))
-        parallel = render_report(verify_suite(1, 2, 60, jobs=4))
-        assert serial == parallel
+    @pytest.mark.parametrize(
+        "a_min, a_max, n",
+        [
+            (1, 3, 200),  # the CLI default
+            (2, 4, 150),  # the order-1 claims are skipped
+            (1, 1, 2100),  # past every n cap
+            (20, 22, 30),  # past the milestone a cap
+        ],
+    )
+    def test_report_matches_golden(self, a_min, a_max, n):
+        golden = GOLDEN / f"verify_a{a_min}-{a_max}_n{n}.txt"
+        assert render_report(verify_suite(a_min, a_max, n)) == golden.read_text()
 
     def test_report_format(self):
         text = render_report(verify_suite(1, 1, 30))
@@ -174,8 +185,6 @@ class TestVerifySuite:
             verify_suite(2, 1, 10)
         with pytest.raises(ValueError):
             verify_suite(1, 1, 0)
-        with pytest.raises(ValueError):
-            verify_suite(1, 1, 10, jobs=0)
 
 
 def test_prefix_searches_do_not_rescan_per_prefix(monkeypatch):

@@ -106,6 +106,7 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--a-min", "3", "--a-max", "1",
                            "--n", "10")
         assert code == 2
+        assert "3..1" in err
 
 
 class TestPaths:
@@ -155,3 +156,4 @@ class TestConjecture:
     def test_too_small(self, capsys):
         code, _, err = run(capsys, "conjecture", "--n", "8")
         assert code == 2
+        assert "got 8" in err

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from jaco.graph import (
     JacoGraph,
+    JaconianInfo,
     arcs,
     build,
     degree_profile,
@@ -14,7 +15,7 @@ from jaco.graph import (
     prefix_jaconians,
 )
 from jaco.oracles import naive_build
-from jaco.sequences import c_series
+from jaco.sequences import SequenceTable, c_series
 
 
 class TestBuild:
@@ -181,3 +182,10 @@ class TestHope:
         for n in range(1, 200):
             ok, witness = hope_is_complete(build(a, n))
             assert ok and witness is None
+
+    def test_reports_missing_pair(self):
+        # a hand-made order-2 table with c = 1 throughout: v_2 reaches only
+        # v_5, so the arc v_2 -> v_6 is missing; v_3 already reaches v_7
+        g = JacoGraph(2, 6, SequenceTable(2, 6, (0,) + (1,) * 6))
+        info = JaconianInfo(4, (1,), 1, range(2, 7))
+        assert hope_is_complete(g, info) == (False, (2, 6))
