@@ -35,7 +35,7 @@ def to_json(g: JacoGraph) -> str:
     is a [first, last] index pair or null when the Hope range is empty.
     """
     profile = degree_profile(g)
-    info = jaconian(g, profile)
+    info = jaconian(g)
     hope = [info.hope_range[0], info.hope_range[-1]] if len(info.hope_range) else None
     payload = {
         "a": g.a,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Iterator
 
 from .sequences import SequenceTable, c_series, check_order
@@ -77,10 +78,17 @@ def in_neighbors(g: JacoGraph, j: int) -> range:
 
 
 def arcs(g: JacoGraph) -> Iterator[tuple[int, int]]:
-    """All arcs (tail, head) in lexicographic order."""
-    for i in range(1, g.n + 1):
-        for j in out_neighbors(g, i):
-            yield (i, j)
+    """All arcs (tail, head) in lexicographic order.
+
+    As in degree_profile, v_i reaches past v_n exactly when i >= c[n], so
+    the head interval of v_i ends at a*i + c[i] below c[n] and at n from it.
+    """
+    a, n, c = g.a, g.n, g.seq.c
+    k = c[n]
+    last = chain(map(operator.add, range(a, a * k, a), c[1:k]), repeat(n, n - k + 1))
+    return chain.from_iterable(
+        zip(repeat(i), range(i + 1, r + 1)) for i, r in enumerate(last, 1)
+    )
 
 
 def degree_profile(g: JacoGraph) -> DegreeProfile:
@@ -96,52 +104,60 @@ def degree_profile(g: JacoGraph) -> DegreeProfile:
     return DegreeProfile(d_in, d_out, d_tot)
 
 
-def jaconian(g: JacoGraph, profile: DegreeProfile | None = None) -> JaconianInfo:
+def _jaconian_at(a: int, c: tuple[int, ...], m: int) -> JaconianInfo:
+    """jaconian(J_m(a)) in closed form, with f = c[m] (see prefix_jaconians).
+
+    v_{f-1} has its full degree a*(f-1); v_f has degree m - c[f] and shares
+    it with every later vertex up to reach_{c[f]}, cut at m.
+    """
+    f = c[m]
+    k = c[f]
+    top = m - k
+    full = a * (f - 1)
+    if full > top:
+        return JaconianInfo(full, (f - 1,), f - 1, range(f, m + 1))
+    end = a * k + c[k]
+    if end > m:
+        end = m
+    run = range(f, end + 1)
+    if full == top and f > 1:
+        return JaconianInfo(top, (f - 1, *run), f - 1, range(f, m + 1))
+    return JaconianInfo(top, tuple(run), f, range(f + 1, m + 1))
+
+
+def jaconian(g: JacoGraph) -> JaconianInfo:
     """Maximum total degree, the vertices attaining it, and the Hope range.
 
-    A caller that already holds degree_profile(g) passes it as profile.
+    O(1) plus the size of the Jaconian set, by the closed form that
+    prefix_jaconians derives.
     """
-    d_tot = (degree_profile(g) if profile is None else profile).d_total
-    delta = max(d_tot[1:])
-    jset = tuple(i for i in range(1, g.n + 1) if d_tot[i] == delta)
-    prime = jset[0]
-    return JaconianInfo(delta, jset, prime, range(prime + 1, g.n + 1))
+    return _jaconian_at(g.a, g.seq.c, g.n)
 
 
 def prefix_jaconians(seq: SequenceTable, n: int) -> Iterator[JaconianInfo]:
-    """Yield jaconian(J_m(a)) for m = 1..n, in one forward pass over seq.
+    """Yield jaconian(J_m(a)) for m = 1..n, in O(1) per prefix plus the
+    size of its Jaconian set.
 
     In J_m(a) vertex v_i has degree min(reach_i, m) - c[i], where
-    reach_i = a*i + c[i] increases with i.  The vertices with reach_i <= m
-    are therefore a prefix v_1..v_{f-1} whose degrees no longer change: their
-    running maximum and the vertices attaining it are kept as they freeze.
-    Every later vertex has degree m - c[i], largest at v_f because c is
-    non-decreasing, and tied exactly over the run v_f..v_{e-1} where
-    c[i] = c[f].  Both pointers only move forward, so the pass costs O(n)
-    plus the total length of the Jaconian sets it yields.
+    reach_i = a*i + c[i] increases with i.  By the definition of c, the
+    vertices with reach_i >= m are exactly those from f = c[m] on.  Every
+    v_i below f keeps its full degree a*i, largest at v_{f-1}.  Every later
+    vertex has degree m - c[i] (at v_f this holds even when reach_f = m),
+    largest at v_f because c is non-decreasing, and tied exactly where
+    c[i] = c[f].  Again by the definition of c, c[i] = K holds exactly on
+    the interval reach_{K-1} < i <= reach_K, so that tie run is [f, e) with
+    e = min(reach_{c[f]}, m) + 1 and needs no scan.  So
+
+        delta = max(a*(f-1), m - c[f]),
+
+    attained by v_{f-1} when f > 1 and a*(f-1) = delta, and by
+    v_f..v_{e-1} when m - c[f] = delta.
     """
     if n > seq.horizon:
         raise ValueError(f"prefix count n={n} exceeds the table horizon {seq.horizon}")
     a, c = seq.a, seq.c
-    frozen_delta, frozen_set = -1, []
-    f = e = 1
     for m in range(1, n + 1):
-        while f <= m and a * f + c[f] <= m:
-            degree = (f - c[f]) + (a * f + c[f] - f)
-            if degree > frozen_delta:
-                frozen_delta, frozen_set = degree, [f]
-            elif degree == frozen_delta:
-                frozen_set.append(f)
-            f += 1
-        e = max(e, f)
-        while e <= m and c[e] == c[f]:
-            e += 1
-        top = m - c[f] if f <= m else -1
-        delta = max(frozen_delta, top)
-        jset = tuple(frozen_set) if frozen_delta == delta else ()
-        if top == delta:
-            jset += tuple(range(f, e))
-        yield JaconianInfo(delta, jset, jset[0], range(jset[0] + 1, m + 1))
+        yield _jaconian_at(a, c, m)
 
 
 def hope_is_complete(

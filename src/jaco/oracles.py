@@ -3,16 +3,18 @@
 Everything here recomputes a quantity straight from its definition with
 no shortcuts, to serve as the second route of every dual check: the
 O(n^2) definition scan for the c series, the per-insertion graph builder,
-exhaustive digit-string enumeration, breadth-first distances, and
-explicit shortest-path enumeration.  These are deliberately slow and are
-used by the verification suite and the test suite only.
+the per-vertex degree scan for the maximum degree, the out-degree sum of
+the edge count, exhaustive digit-string enumeration, breadth-first
+distances, and explicit shortest-path enumeration.  These are
+deliberately slow and are used by the verification suite and the test
+suite only.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
-from .graph import JacoGraph, out_neighbors
+from .graph import JacoGraph, JaconianInfo, degree_profile, out_neighbors
 from .sequences import check_order
 
 
@@ -43,6 +45,21 @@ def naive_build(a: int, n: int) -> tuple[set[tuple[int, int]], list[int]]:
                 arcs.add((i, j))
                 d_in[j] += 1
     return arcs, d_in
+
+
+def jaconian_scan(g: JacoGraph) -> JaconianInfo:
+    """Maximum total degree, the vertices attaining it and the Hope range,
+    by scanning the degree of every vertex."""
+    d_tot = degree_profile(g).d_total
+    delta = max(d_tot[1:])
+    jset = tuple(i for i in range(1, g.n + 1) if d_tot[i] == delta)
+    prime = jset[0]
+    return JaconianInfo(delta, jset, prime, range(prime + 1, g.n + 1))
+
+
+def out_degree_sum(g: JacoGraph, k: int) -> int:
+    """Arcs leaving v_1..v_k, one out-neighborhood at a time."""
+    return sum(len(out_neighbors(g, i)) for i in range(1, k + 1))
 
 
 def enumerate_zeck_reps(a: int, max_value: int) -> dict[int, list[tuple[int, ...]]]:

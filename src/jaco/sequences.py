@@ -4,7 +4,8 @@ The central object is the lowest-in-neighbor series c: c[0] = 0, c[1] = 1
 and, for n >= 2, c[n] is the least k < n with a*k + c[k] >= n.  From it
 follow the in-degree (n - c[n]), the out-degree ((a-1)*n + c[n]) and the
 reach (a*n + c[n]) of every vertex of the infinite order-a graph.  Only c
-is stored; the three derived columns are computed on first access.
+is stored; the derived columns (these three and the prefix sum of c) are
+computed on first access.
 
 The same series has a closed form over the generalized Lucas basis
 U(a, -1): expand n in the unique constrained digit expansion over that
@@ -20,6 +21,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 
 class ZeckDigitError(ValueError):
@@ -67,9 +69,10 @@ class ZeckRep:
 
 @dataclass(frozen=True)
 class SequenceTable:
-    """The series c[0..horizon]; the degree columns are derived on demand.
+    """The series c[0..horizon]; the derived columns are computed on demand.
 
-    dminus[n] = n - c[n], dplus[n] = (a-1)*n + c[n], reach[n] = a*n + c[n].
+    dminus[n] = n - c[n], dplus[n] = (a-1)*n + c[n], reach[n] = a*n + c[n],
+    and csum[n] = c[0] + ... + c[n].
     """
 
     a: int
@@ -87,6 +90,10 @@ class SequenceTable:
     @cached_property
     def reach(self) -> tuple[int, ...]:
         return tuple(self.a * n + cn for n, cn in enumerate(self.c))
+
+    @cached_property
+    def csum(self) -> tuple[int, ...]:
+        return tuple(accumulate(self.c))
 
 
 # Terms of x[i+1] = a*x[i] + x[i-1] per (a, x[0], x[1]), grown on demand.

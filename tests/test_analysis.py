@@ -3,6 +3,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jaco import analysis, graph
 from jaco.analysis import (
@@ -17,7 +19,7 @@ from jaco.analysis import (
     verify_suite,
 )
 from jaco.graph import build
-from jaco.oracles import naive_build
+from jaco.oracles import naive_build, out_degree_sum
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -55,6 +57,14 @@ class TestEdgeCounts:
     def test_report_object(self):
         report = edge_count_report(build(2, 40))
         assert report.direct == report.theorem == report.recursive
+
+    @given(a=st.integers(1, 40), n=st.integers(1, 3000), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_out_arcs_match_literal_sum(self, a, n, data):
+        g = build(a, n)
+        k = data.draw(st.integers(0, n))
+        assert analysis._out_arcs(g, k) == out_degree_sum(g, k), f"a={a} n={n} k={k}"
+        assert edge_count_direct(g) == out_degree_sum(g, n), f"a={a} n={n}"
 
 
 class TestCompletePrefixCount:
@@ -164,6 +174,26 @@ class TestVerifySuite:
                 },
                 id="prefix_sweep_delta",
             ),
+            pytest.param(
+                (analysis.oracles, "jaconian_scan"),
+                lambda real: lambda g: dataclasses.replace(real(g), delta=real(g).delta + 1),
+                (1, 1, 40),
+                {"graph.monotone_delta": "a=1 n=40 sweep differs from full scan"},
+                id="jaconian_scan",
+            ),
+            pytest.param(
+                (analysis, "edge_count_direct"),
+                lambda real: lambda g: real(g) + (g.n == 40),
+                (1, 1, 40),
+                {
+                    # the arc sets agree, so only the counts can be named
+                    "graph.arc_relation_matches_naive_builder": "a=1 edges=309 naive=308",
+                    "analysis.edge_count_triple_agreement": (
+                        "a=1 n=40 direct=309 theorem=308 recursive=308"
+                    ),
+                },
+                id="edge_count_direct",
+            ),
         ],
     )
     def test_injected_fault_is_pinpointed(self, monkeypatch, target, warp, grid, failures):
@@ -210,6 +240,26 @@ def test_prefix_searches_do_not_rescan_per_prefix(monkeypatch):
     small = count(verify_suite, 1, 3, 80)
     assert small == count(verify_suite, 1, 3, 160)
     assert small["jaconian"] > 0  # the counters do see the suite's own calls
+
+
+def test_single_graph_routes_make_no_degree_scan(monkeypatch):
+    # the Jaconian and both edge counts of one graph are closed forms in c
+    calls = Counter()
+    real = graph.degree_profile
+
+    def counted(g):
+        calls["degree_profile"] += 1
+        return real(g)
+
+    for module in (graph, analysis):
+        monkeypatch.setattr(module, "degree_profile", counted)
+    g = build(2, 5000)
+    graph.jaconian(g)
+    edge_count_direct(g)
+    edge_count_theorem(g)
+    assert calls["degree_profile"] == 0
+    analysis._claim_degree_step(2, 50)
+    assert calls["degree_profile"] == 1  # the counter does see a scan
 
 
 def test_milestone_reports_violation_when_search_exhausts(monkeypatch):

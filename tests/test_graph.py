@@ -14,7 +14,7 @@ from jaco.graph import (
     out_neighbors,
     prefix_jaconians,
 )
-from jaco.oracles import naive_build
+from jaco.oracles import jaconian_scan, naive_build
 from jaco.sequences import SequenceTable, c_series
 
 
@@ -141,6 +141,13 @@ class TestJaconian:
             assert delta in (prev, prev + 1)
             prev = delta
 
+    @pytest.mark.parametrize("a", [1, 2, 3, 4, 5, 6])
+    def test_matches_degree_scan(self, a):
+        seq = c_series(a, 600)
+        for n in range(1, 601):
+            g = JacoGraph(a, n, seq)
+            assert jaconian(g) == jaconian_scan(g), f"a={a} n={n}"
+
     @pytest.mark.parametrize("a", [1, 2, 3, 5])
     def test_complete_prefix_regime(self, a):
         for m in range(1, a + 2):
@@ -154,7 +161,7 @@ class TestPrefixJaconians:
     def test_matches_full_scan_at_every_prefix(self, a):
         seq = c_series(a, 2000)
         for m, info in enumerate(prefix_jaconians(seq, 2000), 1):
-            assert info == jaconian(JacoGraph(a, m, seq)), f"a={a} m={m}"
+            assert info == jaconian_scan(JacoGraph(a, m, seq)), f"a={a} m={m}"
         assert m == 2000
 
     @given(a=st.integers(1, 40), n=st.integers(1, 3000), data=st.data())
@@ -164,7 +171,7 @@ class TestPrefixJaconians:
         probes = {n, data.draw(st.integers(1, n)), data.draw(st.integers(1, min(n, 3 * a)))}
         for m, info in enumerate(prefix_jaconians(seq, n), 1):
             if m in probes:
-                assert info == jaconian(JacoGraph(a, m, seq)), f"a={a} m={m}"
+                assert info == jaconian_scan(JacoGraph(a, m, seq)), f"a={a} m={m}"
 
     def test_beyond_horizon_rejected(self):
         with pytest.raises(ValueError):
