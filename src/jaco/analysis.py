@@ -121,12 +121,14 @@ def edge_count_recursive(a: int, n_max: int) -> list[int]:
     seq = sequences.c_series(a, n_max)
     eps = [0]
     for n, info in enumerate(graph_mod.prefix_jaconians(seq, n_max - 1), 1):
-        i = info.prime_index
-        if info.delta == a * i:
-            eps.append(eps[-1] - i + n)
-        else:
-            eps.append(eps[-1] - i + (n + 1))
+        eps.append(eps[-1] + _arcs_added(a, n, info))
     return eps
+
+
+def _arcs_added(a: int, n: int, info: JaconianInfo) -> int:
+    """Arcs gained from J_n(a) to J_{n+1}(a), given jaconian(J_n(a))."""
+    i = info.prime_index
+    return n - i + (info.delta != a * i)
 
 
 def complete_prefix_count(a: int, m: int) -> int:
@@ -374,15 +376,18 @@ def _claim_hope_complete(a, n):
 
 
 def _claim_edge_triple(a, n):
-    # the last prefix is also checked against the literal out-degree sum
-    rec = edge_count_recursive(a, n)
+    # one sweep feeds all three routes: rec runs the recurrence of
+    # edge_count_recursive alongside; the last prefix is also checked
+    # against the literal out-degree sum
     seq = sequences.c_series(a, n)
+    rec = 0
     for m, info in enumerate(graph_mod.prefix_jaconians(seq, n), 1):
         g = JacoGraph(a, m, seq)
         direct = edge_count_direct(g)
         thm = edge_count_theorem(g, info)
-        if not direct == thm == rec[m - 1]:
-            return f"a={a} n={m} direct={direct} theorem={thm} recursive={rec[m - 1]}"
+        if not direct == thm == rec:
+            return f"a={a} n={m} direct={direct} theorem={thm} recursive={rec}"
+        rec += _arcs_added(a, m, info)
     literal = oracles.out_degree_sum(g, n)
     if direct != literal:
         return f"a={a} n={n} direct={direct} literal={literal}"

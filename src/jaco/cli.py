@@ -10,7 +10,10 @@ violation, 2 usage or validation error, 3 I/O failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
+import tempfile
 
 from . import analysis, export, paths, sequences
 from .graph import build
@@ -19,6 +22,8 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+
+_WRITE_CHUNK = 1 << 16
 
 
 def _positive(name: str):
@@ -94,15 +99,49 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _emit(text: str, out: str | None) -> int:
     if out is None:
-        sys.stdout.write(text)
+        _write_text(sys.stdout, text)
         return EXIT_OK
     try:
-        with open(out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        _write_atomic(text, out)
     except OSError as exc:
         print(f"jaco: cannot write {out}: {exc}", file=sys.stderr)
         return EXIT_IO
     return EXIT_OK
+
+
+def _write_atomic(text: str, out: str) -> None:
+    """Write text to out so that readers see the old file or the whole new one.
+
+    The text goes to a temp file beside the target, which then replaces it;
+    on failure the temp file is removed and the target is untouched.  A
+    symlink is followed, and a target that exists but is not a regular file
+    (a device, a pipe) is written in place.
+    """
+    target = os.path.realpath(out) if os.path.islink(out) else out
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(target, "w", encoding="utf-8", newline="") as handle:
+            _write_text(handle, text)
+        return
+    # mkstemp creates the file 0600; give it the mode open() would
+    umask = os.umask(0)
+    os.umask(umask)
+    fd, tmp = tempfile.mkstemp(prefix=".jaco-", suffix=".tmp", dir=os.path.dirname(target))
+    try:
+        with open(fd, "w", encoding="utf-8", newline="") as handle:
+            os.chmod(fd, 0o666 & ~umask)
+            _write_text(handle, text)
+        os.replace(tmp, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
+def _write_text(handle, text: str) -> None:
+    # a text file copies what it is given into one bytes object; slices keep
+    # that copy at _WRITE_CHUNK characters instead of the whole output
+    for start in range(0, len(text), _WRITE_CHUNK):
+        handle.write(text[start : start + _WRITE_CHUNK])
 
 
 def _cmd_build(args) -> int:

@@ -4,28 +4,41 @@ Every renderer is byte-stable for a given input: arcs are emitted in
 lexicographic (tail, head) order, JSON keys in a fixed order, line
 endings are a single newline.  Graphs are always rebuilt from (a, n), so
 there is no importer.
+
+The heads of v_i are the consecutive vertices i+1..r_i, so the graph
+renderers emit each tail's arcs as one block joined from a shared list of
+vertex names, with no per-arc formatting.  The whole text is still built
+in memory before it is returned.
 """
 
 from __future__ import annotations
 
 import json
 
-from .graph import JacoGraph, arcs, degree_profile, jaconian
+from .graph import JacoGraph, _last_heads, degree_profile, jaconian
 from .sequences import SequenceTable
 
 FORMATS = ("dot", "json", "csv")
 
 
+def _arc_text(g: JacoGraph, tail: str, end: str, gap: str = "") -> str:
+    """Every arc (i, j) as tail % i + str(j) + end, joined by gap, in order.
+
+    One str.join per tail: the heads i+1..r_i are a slice of the names list.
+    """
+    names = list(map(str, range(g.n + 1)))
+    blocks = []
+    for i, r in enumerate(_last_heads(g), 1):
+        if r > i:
+            opening = tail % i
+            blocks.append(opening + (end + gap + opening).join(names[i + 1 : r + 1]) + end)
+    return gap.join(blocks)
+
+
 def to_dot(g: JacoGraph) -> str:
     """Graphviz digraph, one arc per line; a lone v1 is still declared."""
-    lines = [f"digraph jaco_a{g.a}_n{g.n} {{"]
-    arc_list = list(arcs(g))
-    if not arc_list:
-        lines.append("  v1;")
-    for i, j in arc_list:
-        lines.append(f"  v{i} -> v{j};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    body = _arc_text(g, "  v%d -> v", ";\n") or "  v1;\n"
+    return f"digraph jaco_a{g.a}_n{g.n} {{\n{body}}}\n"
 
 
 def to_json(g: JacoGraph) -> str:
@@ -33,14 +46,14 @@ def to_json(g: JacoGraph) -> str:
 
     Vertex indices are 1-based; degree arrays are ordered v_1..v_n; hope
     is a [first, last] index pair or null when the Hope range is empty.
+    The edges array is joined here in json.dumps' default ", " style; the
+    rest goes through json.dumps.
     """
     profile = degree_profile(g)
     info = jaconian(g)
     hope = [info.hope_range[0], info.hope_range[-1]] if len(info.hope_range) else None
-    payload = {
-        "a": g.a,
-        "n": g.n,
-        "edges": [[i, j] for i, j in arcs(g)],
+    before = json.dumps({"a": g.a, "n": g.n})
+    after = json.dumps({
         "in_degree": list(profile.d_in[1:]),
         "out_degree": list(profile.d_out_finite[1:]),
         "total_degree": list(profile.d_total[1:]),
@@ -48,15 +61,14 @@ def to_json(g: JacoGraph) -> str:
         "jaconian": list(info.jaconian_set),
         "prime": info.prime_index,
         "hope": hope,
-    }
-    return json.dumps(payload) + "\n"
+    })
+    edges = _arc_text(g, "[%d, ", "]", ", ")
+    return f'{before[:-1]}, "edges": [{edges}], {after[1:]}\n'
 
 
 def to_csv(g: JacoGraph) -> str:
     """Arc list as CSV with a tail,head header."""
-    lines = ["tail,head"]
-    lines.extend(f"{i},{j}" for i, j in arcs(g))
-    return "\n".join(lines) + "\n"
+    return "tail,head\n" + _arc_text(g, "%d,", "\n")
 
 
 def seq_dump(t: SequenceTable) -> str:
@@ -67,7 +79,8 @@ def seq_dump(t: SequenceTable) -> str:
         f"{n}\t{cn}\t{n - cn}\t{(a - 1) * n + cn}\t{a * n + cn}"
         for n, cn in enumerate(t.c)
     )
-    return "\n".join(lines) + "\n"
+    lines.append("")
+    return "\n".join(lines)
 
 
 def render(g: JacoGraph, fmt: str) -> str:

@@ -77,17 +77,22 @@ def in_neighbors(g: JacoGraph, j: int) -> range:
     return range(g.seq.c[j], j)
 
 
-def arcs(g: JacoGraph) -> Iterator[tuple[int, int]]:
-    """All arcs (tail, head) in lexicographic order.
+def _last_heads(g: JacoGraph) -> Iterator[int]:
+    """Yield r_i = min(a*i + c[i], n), the last head of v_i, for v_1..v_n.
 
     As in degree_profile, v_i reaches past v_n exactly when i >= c[n], so
-    the head interval of v_i ends at a*i + c[i] below c[n] and at n from it.
+    r_i is a*i + c[i] below c[n] and n from it.  v_i has out-arcs exactly
+    when r_i > i.
     """
     a, n, c = g.a, g.n, g.seq.c
     k = c[n]
-    last = chain(map(operator.add, range(a, a * k, a), c[1:k]), repeat(n, n - k + 1))
+    return chain(map(operator.add, range(a, a * k, a), c[1:k]), repeat(n, n - k + 1))
+
+
+def arcs(g: JacoGraph) -> Iterator[tuple[int, int]]:
+    """All arcs (tail, head) in lexicographic order."""
     return chain.from_iterable(
-        zip(repeat(i), range(i + 1, r + 1)) for i, r in enumerate(last, 1)
+        zip(repeat(i), range(i + 1, r + 1)) for i, r in enumerate(_last_heads(g), 1)
     )
 
 

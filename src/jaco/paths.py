@@ -218,4 +218,5 @@ def render_conjecture(report: ConjectureReport) -> str:
     lines.append(
         f"SUMMARY scanned=7..{report.n_max - 1} violations={report.violations}"
     )
-    return "\n".join(lines) + "\n"
+    lines.append("")
+    return "\n".join(lines)

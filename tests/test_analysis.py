@@ -262,6 +262,26 @@ def test_single_graph_routes_make_no_degree_scan(monkeypatch):
     assert calls["degree_profile"] == 1  # the counter does see a scan
 
 
+def test_edge_triple_claim_builds_one_table_and_one_sweep(monkeypatch):
+    calls = Counter()
+    real_table, real_sweep = analysis.sequences.c_series, graph.prefix_jaconians
+
+    def table(a, n):
+        calls["c_series"] += 1
+        return real_table(a, n)
+
+    def sweep(seq, n):
+        calls["prefix_jaconians"] += 1
+        return real_sweep(seq, n)
+
+    monkeypatch.setattr(analysis.sequences, "c_series", table)
+    monkeypatch.setattr(analysis.graph_mod, "prefix_jaconians", sweep)
+    assert analysis._claim_edge_triple(2, 300) is None
+    assert calls == {"c_series": 1, "prefix_jaconians": 1}
+    edge_count_recursive(2, 300)
+    assert calls == {"c_series": 2, "prefix_jaconians": 2}  # the counters see it
+
+
 def test_milestone_reports_violation_when_search_exhausts(monkeypatch):
     # feed the search a degenerate table in which no vertex ever reaches
     # the target degree; the bounded search must fail loudly

@@ -1,5 +1,10 @@
+import errno
+import os
+import threading
+
 import pytest
 
+from jaco import cli
 from jaco.cli import main
 from jaco.graph import build
 from jaco.paths import psi_oracle
@@ -37,6 +42,88 @@ class TestBuild:
                            "--out", "/nonexistent-dir/x.dot")
         assert code == 3
         assert "cannot write" in err
+
+    def test_failed_write_keeps_target_and_leaves_no_temp_file(self, capsys, tmp_path,
+                                                               monkeypatch):
+        target = tmp_path / "graph.dot"
+        target.write_text("old contents\n")
+        real_open = open
+
+        class HalfWritten:
+            # writes half the text, then fails as a full disk would
+            def __init__(self, *args, **kwargs):
+                self.handle = real_open(*args, **kwargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.handle.close()
+
+            def write(self, text):
+                self.handle.write(text[: len(text) // 2])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(cli, "open", HalfWritten, raising=False)
+        code, _, err = run(capsys, "build", "--a", "2", "--n", "40", "--out", str(target))
+        assert code == 3
+        assert "cannot write" in err
+        assert target.read_text() == "old contents\n"
+        assert os.listdir(tmp_path) == ["graph.dot"]
+
+    def test_failed_replace_leaves_no_temp_file(self, capsys, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise OSError(errno.EACCES, "Permission denied")
+
+        monkeypatch.setattr(cli.os, "replace", refuse)
+        code, _, _ = run(capsys, "build", "--a", "1", "--n", "3",
+                         "--out", str(tmp_path / "graph.dot"))
+        assert code == 3
+        assert os.listdir(tmp_path) == []
+
+    def test_relative_out_lands_in_the_working_directory(self, capsys, tmp_path,
+                                                         monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, _, _ = run(capsys, "build", "--a", "1", "--n", "3", "--format", "csv",
+                         "--out", "graph.csv")
+        assert code == 0
+        assert os.listdir(tmp_path) == ["graph.csv"]
+        assert (tmp_path / "graph.csv").read_text() == "tail,head\n1,2\n2,3\n"
+
+    def test_new_file_gets_the_umask_mode(self, capsys, tmp_path):
+        target = tmp_path / "graph.csv"
+        old = os.umask(0o022)
+        try:
+            code, _, _ = run(capsys, "build", "--a", "1", "--n", "3", "--format", "csv",
+                             "--out", str(target))
+        finally:
+            os.umask(old)
+        assert code == 0
+        assert target.stat().st_mode & 0o777 == 0o644
+
+    def test_symlink_target_is_followed(self, capsys, tmp_path):
+        real = tmp_path / "real.csv"
+        real.write_text("old\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(real)
+        code, _, _ = run(capsys, "build", "--a", "1", "--n", "3", "--format", "csv",
+                         "--out", str(link))
+        assert code == 0
+        assert link.is_symlink()
+        assert real.read_text() == "tail,head\n1,2\n2,3\n"
+
+    def test_pipe_target_is_written_in_place(self, capsys, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+        reader.start()
+        code, _, _ = run(capsys, "build", "--a", "1", "--n", "3", "--format", "csv",
+                         "--out", str(fifo))
+        reader.join(timeout=10)
+        assert code == 0
+        assert got == ["tail,head\n1,2\n2,3\n"]
+        assert os.listdir(tmp_path) == ["pipe"]
 
 
 class TestUsageErrors:

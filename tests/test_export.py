@@ -1,10 +1,11 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from jaco.export import seq_dump, to_csv, to_dot, to_json
-from jaco.graph import arcs, build
+from jaco.graph import arcs, build, degree_profile, jaconian
 from jaco.oracles import naive_build
 from jaco.sequences import c_series
 
@@ -109,3 +110,107 @@ def test_rendering_is_stable_across_calls():
     for _ in range(3):
         assert to_dot(build(2, 7)) == to_dot(build(2, 7))
         assert to_json(build(2, 7)) == to_json(build(2, 7))
+
+
+# Per-arc reference renderers: one formatted line (or [i, j] pair) per arc of
+# graph.arcs.  The renderers under test emit each tail's arcs as one block
+# and must produce exactly these bytes.
+
+
+def reference_dot(g):
+    lines = [f"digraph jaco_a{g.a}_n{g.n} {{"]
+    arc_list = list(arcs(g))
+    if not arc_list:
+        lines.append("  v1;")
+    for i, j in arc_list:
+        lines.append(f"  v{i} -> v{j};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_json(g):
+    profile = degree_profile(g)
+    info = jaconian(g)
+    hope = [info.hope_range[0], info.hope_range[-1]] if len(info.hope_range) else None
+    payload = {
+        "a": g.a,
+        "n": g.n,
+        "edges": [[i, j] for i, j in arcs(g)],
+        "in_degree": list(profile.d_in[1:]),
+        "out_degree": list(profile.d_out_finite[1:]),
+        "total_degree": list(profile.d_total[1:]),
+        "delta": info.delta,
+        "jaconian": list(info.jaconian_set),
+        "prime": info.prime_index,
+        "hope": hope,
+    }
+    return json.dumps(payload) + "\n"
+
+
+def reference_csv(g):
+    lines = ["tail,head"]
+    lines.extend(f"{i},{j}" for i, j in arcs(g))
+    return "\n".join(lines) + "\n"
+
+
+RENDERERS = [
+    pytest.param(to_dot, reference_dot, id="dot"),
+    pytest.param(to_json, reference_json, id="json"),
+    pytest.param(to_csv, reference_csv, id="csv"),
+]
+
+
+@pytest.mark.parametrize("render,reference", RENDERERS)
+@pytest.mark.parametrize("a", range(1, 6))
+class TestMatchesPerArcReference:
+    def test_every_small_n(self, render, reference, a):
+        for n in range(1, 61):
+            g = build(a, n)
+            assert render(g) == reference(g), f"a={a} n={n}"
+
+    @pytest.mark.parametrize("n", [300, 500])
+    def test_large_n(self, render, reference, a, n):
+        g = build(a, n)
+        assert render(g) == reference(g)
+
+
+@pytest.mark.parametrize("a", range(1, 6))
+def test_no_arcs_at_one_vertex(a):
+    g = build(a, 1)
+    assert to_dot(g) == f"digraph jaco_a{a}_n1 {{\n  v1;\n}}\n"
+    assert '"edges": [], ' in to_json(g)
+    assert to_csv(g) == "tail,head\n"
+
+
+def parse_dot(text):
+    header, body = text.split("\n", 1)
+    assert re.fullmatch(r"digraph jaco_a\d+_n\d+ \{", header)
+    assert body.endswith("}\n")
+    rows = body[:-2].splitlines()
+    if rows == ["  v1;"]:
+        return []
+    pairs = [re.fullmatch(r"  v(\d+) -> v(\d+);", row) for row in rows]
+    assert all(pairs)
+    return [(int(m[1]), int(m[2])) for m in pairs]
+
+
+def parse_csv(text):
+    header, *rows = text.splitlines()
+    assert header == "tail,head"
+    return [tuple(map(int, row.split(","))) for row in rows]
+
+
+def parse_json(text):
+    return [tuple(edge) for edge in json.loads(text)["edges"]]
+
+
+@pytest.mark.parametrize(
+    "render,parse",
+    [(to_dot, parse_dot), (to_csv, parse_csv), (to_json, parse_json)],
+    ids=["dot", "csv", "json"],
+)
+@pytest.mark.parametrize("a", range(1, 6))
+def test_roundtrip_gives_the_arcs(render, parse, a):
+    for n in (*range(1, 40), 97, 150, 299, 300):
+        g = build(a, n)
+        assert parse(render(g)) == list(arcs(g)), f"a={a} n={n}"

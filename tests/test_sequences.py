@@ -1,3 +1,5 @@
+from math import isqrt
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -208,6 +210,26 @@ class TestBettina:
         t = c_series(1, 3000)
         for n in range(1, 3001):
             assert bettina_dplus(n) == c_closed(1, n) == t.dplus[n]
+
+
+def golden_beatty(n):
+    """floor((n+1)/phi), exactly: (floor(m*sqrt(5)) - m) // 2 with m = n + 1."""
+    m = n + 1
+    return (isqrt(5 * m * m) - m) // 2
+
+
+class TestOrderOneBeatty:
+    # at a = 1, c is Hofstadter's G-sequence (OEIS A005206), whose Beatty
+    # form floor((n+1)/phi) is an exact route independent of the recurrence
+
+    def test_table_matches_at_every_n(self):
+        c = c_series(1, 200_000).c
+        assert all(c[n] == golden_beatty(n) for n in range(1, 200_001))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=1, max_value=10**100 - 1))
+    def test_closed_form_and_bettina_match_up_to_a_googol(self, n):
+        assert c_closed(1, n) == bettina_dplus(n) == golden_beatty(n)
 
 
 class TestBasisCacheIsolation:
