@@ -35,7 +35,7 @@ from .graph import (
     jaconian,
     out_neighbors,
 )
-from .sequences import check_order
+from .sequences import SequenceTable, check_order
 
 
 class TheoremViolationError(RuntimeError):
@@ -118,10 +118,14 @@ def edge_count_recursive(a: int, n_max: int) -> list[int]:
     check_order(a)
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    seq = sequences.c_series(a, n_max)
+    return _edge_totals(sequences.c_series(a, n_max), n_max)
+
+
+def _edge_totals(seq: SequenceTable, n_max: int) -> list[int]:
+    """The recurrence of edge_count_recursive over a table the caller holds."""
     eps = [0]
     for n, info in enumerate(graph_mod.prefix_jaconians(seq, n_max - 1), 1):
-        eps.append(eps[-1] + _arcs_added(a, n, info))
+        eps.append(eps[-1] + _arcs_added(seq.a, n, info))
     return eps
 
 
@@ -143,7 +147,7 @@ def edge_count_report(g: JacoGraph) -> EdgeCountReport:
     """All three routes for one graph; raises if they disagree."""
     direct = edge_count_direct(g)
     theorem = edge_count_theorem(g)
-    recursive = edge_count_recursive(g.a, g.n)[g.n - 1]
+    recursive = _edge_totals(g.seq, g.n)[g.n - 1]
     if not direct == theorem == recursive:
         raise TheoremViolationError(
             f"edge counts disagree for a={g.a}, n={g.n}: "

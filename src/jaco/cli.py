@@ -1,10 +1,13 @@
 """Command-line front end.
 
 Subcommands: build (graph export), seq (sequence table), zeck (digit
-expansion of one value), verify (claim suite), paths (distances and path
-counts), milestone (maximum-degree milestone search), conjecture
-(non-repetitiveness scan).  Exit status: 0 success, 1 claim/conjecture
-violation, 2 usage or validation error, 3 I/O failure.
+expansion of one value), verify (claim suite), paths (distances from v_1;
+--psi, also spelled --oracle-psi, adds the linear-time shortest-path
+counts at any order), milestone (maximum-degree milestone search),
+conjecture (non-repetitiveness scan).  Each subcommand computes its text
+and whether its checks passed; main alone writes the text, to stdout or
+to --out, and sets the exit status: 0 success, 1 claim/conjecture
+violation, 2 usage or validation error, 3 I/O failure (3 outranks 1).
 """
 
 from __future__ import annotations
@@ -26,21 +29,11 @@ EXIT_IO = 3
 _WRITE_CHUNK = 1 << 16
 
 
-def _positive(name: str):
+def _at_least(low: int, name: str):
     def parse(text: str) -> int:
         value = int(text)
-        if value < 1:
-            raise argparse.ArgumentTypeError(f"{name} must be >= 1, got {value}")
-        return value
-
-    return parse
-
-
-def _non_negative(name: str):
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < 0:
-            raise argparse.ArgumentTypeError(f"{name} must be >= 0, got {value}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{name} must be >= {low}, got {value}")
         return value
 
     return parse
@@ -51,49 +44,43 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build", help="construct a graph and export it")
-    p.add_argument("--a", type=_positive("a"), required=True)
-    p.add_argument("--n", type=_positive("n"), required=True)
+    p.add_argument("--a", type=_at_least(1, "a"), required=True)
+    p.add_argument("--n", type=_at_least(1, "n"), required=True)
     p.add_argument("--format", choices=export.FORMATS, default="dot")
-    p.add_argument("--out", default=None)
 
     p = sub.add_parser("seq", help="dump the sequence table as TSV")
-    p.add_argument("--a", type=_positive("a"), required=True)
-    p.add_argument("--horizon", type=_non_negative("horizon"), required=True)
+    p.add_argument("--a", type=_at_least(1, "a"), required=True)
+    p.add_argument("--horizon", type=_at_least(0, "horizon"), required=True)
     p.add_argument("--check-closed-form", action="store_true")
-    p.add_argument("--out", default=None)
 
     p = sub.add_parser("zeck", help="constrained digit expansion of a value")
-    p.add_argument("--a", type=_positive("a"), required=True)
-    p.add_argument("--value", type=_non_negative("value"), required=True)
-    p.add_argument("--out", default=None)
+    p.add_argument("--a", type=_at_least(1, "a"), required=True)
+    p.add_argument("--value", type=_at_least(0, "value"), required=True)
 
     p = sub.add_parser("verify", help="run the claim verification suite")
-    p.add_argument("--a-min", type=_positive("a-min"), default=1)
-    p.add_argument("--a-max", type=_positive("a-max"), default=3)
-    p.add_argument("--n", type=_positive("n"), default=200)
-    p.add_argument("--jobs", type=_positive("jobs"), default=1,
-                   help="accepted for compatibility and not used; the claims run serially")
-    p.add_argument("--out", default=None)
+    p.add_argument("--a-min", type=_at_least(1, "a-min"), default=1)
+    p.add_argument("--a-max", type=_at_least(1, "a-max"), default=3)
+    p.add_argument("--n", type=_at_least(1, "n"), default=200)
 
     p = sub.add_parser("paths", help="distances (and path counts) from v_1")
-    p.add_argument("--a", type=_positive("a"), required=True)
-    p.add_argument("--n", type=_positive("n"), required=True)
-    p.add_argument("--psi", action="store_true",
-                   help="add the order-1 recursion path counts")
-    p.add_argument("--oracle-psi", action="store_true",
-                   help="add linear-time path counts (any order)")
-    p.add_argument("--out", default=None)
+    p.add_argument("--a", type=_at_least(1, "a"), required=True)
+    p.add_argument("--n", type=_at_least(1, "n"), required=True)
+    p.add_argument("--psi", "--oracle-psi", action="store_true",
+                   help="add the shortest-path counts (linear time, any order)")
 
     p = sub.add_parser("milestone", help="smallest n with maximum degree a(a+1)")
-    p.add_argument("--a", type=_positive("a"), required=True)
-    p.add_argument("--out", default=None)
+    p.add_argument("--a", type=_at_least(1, "a"), required=True)
 
     p = sub.add_parser("conjecture", help="scan the non-repetitiveness conjecture")
-    p.add_argument("--n", type=_positive("n"), required=True)
-    p.add_argument("--jobs", type=_positive("jobs"), default=1,
-                   help="accepted for compatibility and not used; the scan runs serially")
-    p.add_argument("--out", default=None)
+    p.add_argument("--n", type=_at_least(1, "n"), required=True)
 
+    # added last so that every usage line keeps its order
+    for name in ("verify", "conjecture"):
+        sub.choices[name].add_argument(
+            "--jobs", type=_at_least(1, "jobs"), default=1,
+            help="accepted for compatibility and not used; the work runs serially")
+    for p in sub.choices.values():
+        p.add_argument("--out", default=None)
     return parser
 
 
@@ -144,75 +131,56 @@ def _write_text(handle, text: str) -> None:
         handle.write(text[start : start + _WRITE_CHUNK])
 
 
-def _cmd_build(args) -> int:
-    g = build(args.a, args.n)
-    return _emit(export.render(g, args.format), args.out)
+def _cmd_build(args) -> tuple[str, bool]:
+    return export.render(build(args.a, args.n), args.format), True
 
 
-def _cmd_seq(args) -> int:
+def _cmd_seq(args) -> tuple[str, bool]:
     table = sequences.c_series(args.a, args.horizon)
     text = export.seq_dump(table)
-    if args.check_closed_form:
-        mismatch = any(
-            sequences.c_closed(args.a, n) != table.c[n]
-            for n in range(1, args.horizon + 1)
-        )
-        text += f"CLOSED-FORM {'MISMATCH' if mismatch else 'OK'}\n"
-        status = _emit(text, args.out)
-        return status if status else (EXIT_VIOLATION if mismatch else EXIT_OK)
-    return _emit(text, args.out)
+    if not args.check_closed_form:
+        return text, True
+    ok = all(
+        sequences.c_closed(args.a, n) == table.c[n] for n in range(1, args.horizon + 1)
+    )
+    return text + f"CLOSED-FORM {'OK' if ok else 'MISMATCH'}\n", ok
 
 
-def _cmd_zeck(args) -> int:
+def _cmd_zeck(args) -> tuple[str, bool]:
     rep = sequences.zeck_encode(args.a, args.value)
     lines = [f"alpha[{i + 1}]={alpha}" for i, alpha in enumerate(rep.digits)]
     if rep.digits:
         lines.append(f"tau={sequences.tau(rep)}")
     ok = sequences.zeck_decode(args.a, rep) == args.value
     lines.append(f"value_check={'OK' if ok else 'FAIL'}")
-    status = _emit("\n".join(lines) + "\n", args.out)
-    return status if status else (EXIT_OK if ok else EXIT_VIOLATION)
+    return "\n".join(lines) + "\n", ok
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[str, bool]:
     report = analysis.verify_suite(args.a_min, args.a_max, args.n)
-    status = _emit(analysis.render_report(report), args.out)
-    return status if status else (EXIT_OK if report.passed else EXIT_VIOLATION)
+    return analysis.render_report(report), report.passed
 
 
-def _cmd_paths(args) -> int:
+def _cmd_paths(args) -> tuple[str, bool]:
     g = build(args.a, args.n)
-    dist = paths.distances(g)
-    psi = None
-    if args.oracle_psi:
-        psi = paths.path_table(g).psi
-    elif args.psi:
-        if args.a != 1:
-            print(
-                "jaco: --psi uses the order-1 recursion; "
-                "use --oracle-psi for other orders",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
-        psi = paths.psi_recursive(g)
-    lines = []
-    for i in range(1, args.n + 1):
-        if psi is None:
-            lines.append(f"{i} {dist[i]}")
-        else:
-            lines.append(f"{i} {dist[i]} {psi[i]}")
-    return _emit("\n".join(lines) + "\n", args.out)
+    if args.psi:
+        table = paths.path_table(g)
+        dist, psi = table.dist, table.psi
+        lines = [f"{i} {dist[i]} {psi[i]}" for i in range(1, args.n + 1)]
+    else:
+        dist = paths.distances(g)
+        lines = [f"{i} {dist[i]}" for i in range(1, args.n + 1)]
+    lines.append("")
+    return "\n".join(lines), True
 
 
-def _cmd_milestone(args) -> int:
-    result = analysis.milestone_delta(args.a)
-    return _emit(f"n_star={result.n_star}\n", args.out)
+def _cmd_milestone(args) -> tuple[str, bool]:
+    return f"n_star={analysis.milestone_delta(args.a).n_star}\n", True
 
 
-def _cmd_conjecture(args) -> int:
+def _cmd_conjecture(args) -> tuple[str, bool]:
     report = paths.conjecture_scan(args.n)
-    status = _emit(paths.render_conjecture(report), args.out)
-    return status if status else (EXIT_OK if report.violations == 0 else EXIT_VIOLATION)
+    return paths.render_conjecture(report), report.violations == 0
 
 
 _HANDLERS = {
@@ -227,10 +195,10 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        text, ok = _HANDLERS[args.command](args)
+        return _emit(text, args.out) or (EXIT_OK if ok else EXIT_VIOLATION)
     except analysis.TheoremViolationError as exc:
         print(f"jaco: {exc}", file=sys.stderr)
         return EXIT_VIOLATION

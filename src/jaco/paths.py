@@ -6,8 +6,9 @@ lowest in-neighbor always lies on a shortest path).  Path counts have one
 fast route, path_table, which is linear at every order; psi_oracle, the
 standard DAG dynamic program over in-neighbor windows, is its quadratic
 reference for the tests and the verification suite.  For order 1 only,
-psi_recursive is the Fibonacci-window recursion, paired with the
-"out-degree is a Fibonacci number" uniqueness criterion.  Out-degrees
+psi_recursive is the Fibonacci-window recursion, quadratic and run only as
+a second route by the verification suite, paired with the "out-degree is
+a Fibonacci number" uniqueness criterion.  Out-degrees
 here are always the infinite-graph out-degrees dplus[j], which at order 1
 equal c[j]; the finite graph would give the last vertex out-degree 0 and
 trivialize every criterion.

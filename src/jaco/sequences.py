@@ -248,10 +248,7 @@ def bettina_dplus(n: int) -> int:
     """Out-degree of v_n in the infinite order-1 graph via Zeckendorf shift.
 
     Expand n over the Fibonacci numbers and shift every index down by one;
-    the correction term vanishes at order 1, so this is a pure digit shift.
+    the correction term vanishes at order 1, so this is a pure digit shift,
+    which is c_closed at order 1.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    rep = zeck_encode(1, n)
-    terms = recurrence_terms(1, 0, 1, at_least=n)
-    return sum(alpha * terms[i] for i, alpha in enumerate(rep.digits) if alpha)
+    return c_closed(1, n)

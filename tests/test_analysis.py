@@ -282,6 +282,22 @@ def test_edge_triple_claim_builds_one_table_and_one_sweep(monkeypatch):
     assert calls == {"c_series": 2, "prefix_jaconians": 2}  # the counters see it
 
 
+def test_edge_count_report_reuses_the_graph_table(monkeypatch):
+    g = build(2, 500)
+    calls = Counter()
+    real_table = analysis.sequences.c_series
+
+    def table(a, n):
+        calls["c_series"] += 1
+        return real_table(a, n)
+
+    monkeypatch.setattr(analysis.sequences, "c_series", table)
+    report = edge_count_report(g)
+    assert calls["c_series"] == 0
+    assert report.recursive == edge_count_recursive(2, 500)[-1] == edge_count_direct(g)
+    assert calls["c_series"] == 1  # the counter sees a table build
+
+
 def test_milestone_reports_violation_when_search_exhausts(monkeypatch):
     # feed the search a degenerate table in which no vertex ever reaches
     # the target degree; the bounded search must fail loudly

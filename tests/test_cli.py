@@ -3,8 +3,10 @@ import os
 import threading
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from jaco import cli
+from jaco import analysis, cli, sequences
 from jaco.cli import main
 from jaco.graph import build
 from jaco.paths import psi_oracle
@@ -200,19 +202,25 @@ class TestPaths:
     def test_dist_only(self, capsys):
         code, out, _ = run(capsys, "paths", "--a", "1", "--n", "8")
         assert code == 0
-        assert out.splitlines() == [
-            "1 0", "2 1", "3 2", "4 3", "5 3", "6 4", "7 4", "8 4",
-        ]
+        assert out == "1 0\n2 1\n3 2\n4 3\n5 3\n6 4\n7 4\n8 4\n"
 
     def test_psi_recursion(self, capsys):
         code, out, _ = run(capsys, "paths", "--a", "1", "--n", "13", "--psi")
         assert code == 0
         assert out.splitlines()[8] == "9 5 5"
 
-    def test_psi_requires_order_one(self, capsys):
-        code, _, err = run(capsys, "paths", "--a", "2", "--n", "10", "--psi")
-        assert code == 2
-        assert "oracle-psi" in err
+    def test_psi_reads_path_table_at_every_order(self, capsys, monkeypatch):
+        def refuse(g):
+            raise AssertionError("paths must not call psi_recursive")
+
+        monkeypatch.setattr(cli.paths, "psi_recursive", refuse)
+        for a in (1, 2, 3):
+            code, psi, _ = run(capsys, "paths", "--a", str(a), "--n", "40", "--psi")
+            code2, oracle, _ = run(capsys, "paths", "--a", str(a), "--n", "40",
+                                   "--oracle-psi")
+            assert code == code2 == 0
+            assert psi == oracle
+            assert psi.count("\n") == 40 and psi.endswith("\n")
 
     def test_oracle_psi_any_order(self, capsys):
         code, out, _ = run(capsys, "paths", "--a", "2", "--n", "5", "--oracle-psi")
@@ -244,3 +252,91 @@ class TestConjecture:
         code, _, err = run(capsys, "conjecture", "--n", "8")
         assert code == 2
         assert "got 8" in err
+
+
+class TestExitStatus:
+    @staticmethod
+    def perturb_closed_form(monkeypatch, at):
+        real = sequences.c_closed
+
+        def closed(a, n):
+            return real(a, n) + (n == at)
+
+        monkeypatch.setattr(sequences, "c_closed", closed)
+
+    def test_violation_exits_1_after_writing_the_text(self, capsys, monkeypatch):
+        _, clean, _ = run(capsys, "seq", "--a", "2", "--horizon", "20")
+        self.perturb_closed_form(monkeypatch, 13)
+        code, out, _ = run(capsys, "seq", "--a", "2", "--horizon", "20",
+                           "--check-closed-form")
+        assert code == 1
+        assert out == clean + "CLOSED-FORM MISMATCH\n"
+
+    def test_write_failure_outranks_violation(self, capsys, monkeypatch, tmp_path):
+        self.perturb_closed_form(monkeypatch, 13)
+        code, _, err = run(capsys, "seq", "--a", "2", "--horizon", "20",
+                           "--check-closed-form", "--out", str(tmp_path / "no" / "x.tsv"))
+        assert code == 3
+        assert "cannot write" in err
+
+    def test_theorem_violation_exits_1(self, capsys, monkeypatch):
+        def flat_table(a, horizon):
+            return sequences.SequenceTable(a, horizon, tuple([0] * (horizon + 1)))
+
+        monkeypatch.setattr(analysis.sequences, "c_series", flat_table)
+        code, out, err = run(capsys, "milestone", "--a", "2")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("jaco: ")
+
+    @pytest.mark.parametrize("command", sorted(cli._HANDLERS))
+    def test_help_lists_out(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert "--out" in capsys.readouterr().out
+
+
+_REQUIRED = {"build": ["--a", "--n"], "seq": ["--a", "--horizon"],
+             "zeck": ["--a", "--value"], "verify": [], "paths": ["--a", "--n"],
+             "milestone": ["--a"], "conjecture": ["--n"], "frob": []}
+_VALUE_FLAGS = ["--a", "--n", "--horizon", "--value", "--a-min", "--a-max", "--jobs",
+                "--format"]
+_SWITCHES = ["--psi", "--oracle-psi", "--check-closed-form", "--help", "--bogus"]
+# mostly well-formed sizes <= 60, so that many argvs get past the parser
+_VALUES = (st.integers(1, 60).map(str) | st.integers(-2, 60).map(str)
+           | st.sampled_from(["", "x", "1.5", "-", "0x3", " 4", "--a", "1e2"]))
+
+
+@st.composite
+def _argvs(draw, out_dir):
+    command = draw(st.sampled_from(sorted(_REQUIRED)))
+    argv = [command]
+    for flag in _REQUIRED[command]:
+        argv += [flag, draw(_VALUES)]
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.integers(0, 2))
+        if kind == 0:
+            argv.append(draw(st.sampled_from(_SWITCHES)))
+        elif kind == 1:
+            name = draw(st.sampled_from(["x.txt", "missing/x.txt"]))
+            argv += ["--out", str(out_dir / name)]
+        else:
+            flag = draw(st.sampled_from(_VALUE_FLAGS))
+            value = draw(st.sampled_from(["dot", "json", "csv", "svg"])
+                         if flag == "--format" else _VALUES)
+            argv += [flag, value]
+    return argv
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_argv_ends_in_a_documented_exit_code(capsys, tmp_path, data):
+    argv = data.draw(_argvs(tmp_path))
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    capsys.readouterr()
+    assert code in (0, 1, 2, 3), argv
