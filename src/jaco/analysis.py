@@ -17,6 +17,7 @@ vertex is complete.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable
 
@@ -40,25 +41,6 @@ from .sequences import SequenceTable, check_order
 
 class TheoremViolationError(RuntimeError):
     """A search exhausted its bound without finding a guaranteed witness."""
-
-
-@dataclass(frozen=True)
-class EdgeCountReport:
-    """Edge totals of one J_n(a) by the three routes, asserted equal."""
-
-    a: int
-    n: int
-    direct: int
-    theorem: int
-    recursive: int
-
-
-@dataclass(frozen=True)
-class MilestoneResult:
-    """Smallest n with maximum degree a(a+1) attained by v_{a+1} alone."""
-
-    a: int
-    n_star: int
 
 
 @dataclass(frozen=True)
@@ -143,8 +125,8 @@ def complete_prefix_count(a: int, m: int) -> int:
     return m * (m - 1) // 2
 
 
-def edge_count_report(g: JacoGraph) -> EdgeCountReport:
-    """All three routes for one graph; raises if they disagree."""
+def edge_count_report(g: JacoGraph) -> int:
+    """The edge total of g, on which all three routes agree; raises if they disagree."""
     direct = edge_count_direct(g)
     theorem = edge_count_theorem(g)
     recursive = _edge_totals(g.seq, g.n)[g.n - 1]
@@ -153,20 +135,20 @@ def edge_count_report(g: JacoGraph) -> EdgeCountReport:
             f"edge counts disagree for a={g.a}, n={g.n}: "
             f"direct={direct} theorem={theorem} recursive={recursive}"
         )
-    return EdgeCountReport(g.a, g.n, direct, theorem, recursive)
+    return direct
 
 
-def milestone_delta(a: int) -> MilestoneResult:
-    """Smallest n where the maximum degree reaches a(a+1) and is attained
-    by v_{a+1} alone.  The search is bounded at twice the predicted value
-    a(a+1) + 1 and failing to find it within the bound is an error."""
+def milestone_delta(a: int) -> int:
+    """n*, the smallest n where the maximum degree reaches a(a+1) and is
+    attained by v_{a+1} alone.  The search is bounded at twice the predicted
+    value a(a+1) + 1 and failing to find it within the bound is an error."""
     check_order(a)
     target_delta = a * (a + 1)
     bound = 2 * (target_delta + 1)
     seq = sequences.c_series(a, bound)
     for n, info in enumerate(graph_mod.prefix_jaconians(seq, bound), 1):
         if info.delta == target_delta and info.jaconian_set == (a + 1,):
-            return MilestoneResult(a, n)
+            return n
     raise TheoremViolationError(
         f"no n <= {bound} has maximum degree {target_delta} attained by "
         f"v_{a + 1} alone; the milestone prediction is violated for a={a}"
@@ -189,9 +171,11 @@ def _claim_seed_values(a, n):
 
 
 def _claim_degree_identity(a, n):
-    seq = sequences.c_series(a, n)
+    # out-degree counted without dplus: the v_j > v_m whose in-window [c[j], j-1]
+    # holds v_m; c is non-decreasing and every such j is <= reach_m <= (a+1)*m
+    seq = sequences.c_series(a, (a + 1) * n + 1)
     for m in range(1, n + 1):
-        if seq.dplus[m] + seq.dminus[m] != a * m:
+        if bisect_right(seq.c, m) - 1 - m + seq.dminus[m] != a * m:
             return f"a={a} n={m}"
 
 
@@ -271,7 +255,7 @@ def _claim_binet(a, n):
     # exact-after-rounding region is bounded by U_n * n, not by U_n alone
     r = a / 2 + (a * a / 4 + 1) ** 0.5
     s = a / 2 - (a * a / 4 + 1) ** 0.5
-    terms = sequences.lucas_terms(a, 90).terms
+    terms = sequences.lucas_terms(a, 90)
     m = 2
     while m < len(terms) and terms[m] * m < 2**50:
         if terms[m] != round((r**m - s**m) / (r - s)):
@@ -405,11 +389,11 @@ def _claim_complete_prefix_count(a, n):
 
 def _claim_milestone(a, n):
     try:
-        result = milestone_delta(a)
+        n_star = milestone_delta(a)
     except TheoremViolationError as exc:
         return f"a={a} ({exc})"
-    if result.n_star != a * (a + 1) + 1:
-        return f"a={a} n_star={result.n_star}"
+    if n_star != a * (a + 1) + 1:
+        return f"a={a} n_star={n_star}"
 
 
 def _claim_distances(a, n):
@@ -466,7 +450,7 @@ def _claim_psi_one_at_fib(a, n):
 def _claim_distance_roots(a, n):
     roots = paths_mod.distance_roots(build(a, n))
     liz_set = set(sequences.recurrence_terms(a, 1, 1, at_least=n))
-    for idx in roots.indices:
+    for idx in roots:
         if idx != n and idx not in liz_set:
             return f"a={a} index={idx}"
 

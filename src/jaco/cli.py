@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import os
 import sys
 import tempfile
@@ -39,7 +40,9 @@ def _at_least(low: int, name: str):
     return parse
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args keeps no state between calls
     parser = argparse.ArgumentParser(prog="jaco", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -175,7 +178,7 @@ def _cmd_paths(args) -> tuple[str, bool]:
 
 
 def _cmd_milestone(args) -> tuple[str, bool]:
-    return f"n_star={analysis.milestone_delta(args.a).n_star}\n", True
+    return f"n_star={analysis.milestone_delta(args.a)}\n", True
 
 
 def _cmd_conjecture(args) -> tuple[str, bool]:

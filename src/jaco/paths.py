@@ -34,19 +34,8 @@ class UnsupportedOrderError(ValueError):
 class PathTable:
     """Distances from v_1 and shortest-path counts, index 0 unused."""
 
-    a: int
-    n: int
     dist: tuple[int, ...]
     psi: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class DistanceRootSet:
-    """Vertex indices that are Liz numbers below n, plus n itself."""
-
-    a: int
-    n: int
-    indices: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -61,10 +50,6 @@ class UniquenessReport:
     unique: tuple[bool, ...]
     criterion: tuple[bool, ...]
     mismatches: tuple[int, ...]
-
-    @property
-    def agree(self) -> bool:
-        return not self.mismatches
 
 
 @dataclass(frozen=True)
@@ -130,7 +115,7 @@ def path_table(g: JacoGraph) -> PathTable:
             s = j
         psi[j] = prefix[s] - prefix[c[j]]
         prefix[j + 1] = prefix[j] + psi[j]
-    return PathTable(g.a, n, dist, tuple(psi))
+    return PathTable(dist, tuple(psi))
 
 
 def psi_recursive(g: JacoGraph) -> tuple[int, ...]:
@@ -170,11 +155,11 @@ def uniqueness_check(g: JacoGraph) -> UniquenessReport:
     return UniquenessReport(tuple(unique), tuple(criterion), mismatches)
 
 
-def distance_roots(g: JacoGraph) -> DistanceRootSet:
-    """Liz-number indices strictly below n, plus n itself."""
-    liz = recurrence_terms(g.a, 1, 1, at_least=g.n)  # B_1, B_2, ...
-    indices = {g.n, *(b for b in liz if b < g.n)}
-    return DistanceRootSet(g.a, g.n, tuple(sorted(indices)))
+def distance_roots(g: JacoGraph) -> tuple[int, ...]:
+    """The i < n with dist[i+1] != dist[i] (the last vertex of each distance
+    level below v_n's), then n; verify_suite checks each is a Liz number."""
+    dist = distances(g)
+    return (*(i for i in range(1, g.n) if dist[i + 1] != dist[i]), g.n)
 
 
 def _non_repetitive(x: int, y: int, z: int) -> bool:

@@ -39,22 +39,6 @@ def check_order(a: int) -> None:
 
 
 @dataclass(frozen=True)
-class LucasBasis:
-    """Terms U_0..U_m of the generalized Lucas sequence U(a, -1)."""
-
-    a: int
-    terms: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class LizSequence:
-    """Terms B_0..B_m with B_0=0, B_1=B_2=1, B_i = a*B_{i-1} + B_{i-2}."""
-
-    a: int
-    terms: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class ZeckRep:
     """Constrained digit expansion n = sum(alpha_i * U_i), alpha_1 first.
 
@@ -112,21 +96,21 @@ def recurrence_terms(a: int, x0: int, x1: int, *, count: int = 0, at_least: int 
     return terms
 
 
-def lucas_terms(a: int, m: int) -> LucasBasis:
-    """Terms U_0..U_m of U(a, -1): U_0 = 0, U_1 = 1, U_{n+1} = a*U_n + U_{n-1}."""
+def lucas_terms(a: int, m: int) -> tuple[int, ...]:
+    """(U_0, ..., U_m) of U(a, -1): U_0 = 0, U_1 = 1, U_{n+1} = a*U_n + U_{n-1}."""
     check_order(a)
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    return LucasBasis(a, tuple(recurrence_terms(a, 0, 1, count=m + 1)[: m + 1]))
+    return tuple(recurrence_terms(a, 0, 1, count=m + 1)[: m + 1])
 
 
-def liz_terms(a: int, m: int) -> LizSequence:
-    """Liz numbers B_0..B_m; for a = 1 these are the Fibonacci numbers."""
+def liz_terms(a: int, m: int) -> tuple[int, ...]:
+    """Liz numbers (B_0, ..., B_m); for a = 1 these are the Fibonacci numbers."""
     check_order(a)
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
     # B_0 = 0 stands outside the recurrence, which starts at B_1 = B_2 = 1
-    return LizSequence(a, (0, *recurrence_terms(a, 1, 1, count=m)[:m]))
+    return (0, *recurrence_terms(a, 1, 1, count=m)[:m])
 
 
 def c_series(a: int, horizon: int) -> SequenceTable:

@@ -103,9 +103,9 @@ def test_06_edge_count_triple_agreement():
 def test_07_milestone():
     with _Criterion(7, "maximum-degree milestone at a(a+1)+1", 5):
         for a in range(1, 21):
-            result = milestone_delta(a)
-            assert result.n_star == a * (a + 1) + 1, f"a={a}"
-            info = jaconian(build(a, result.n_star))
+            n_star = milestone_delta(a)
+            assert n_star == a * (a + 1) + 1, f"a={a}"
+            info = jaconian(build(a, n_star))
             assert info.delta == a * (a + 1)
             assert info.jaconian_set == (a + 1,)
 

@@ -55,8 +55,17 @@ class TestEdgeCounts:
             assert direct == edge_count_theorem(g) == recursive[n - 1]
 
     def test_report_object(self):
-        report = edge_count_report(build(2, 40))
-        assert report.direct == report.theorem == report.recursive
+        g = build(2, 40)
+        total = edge_count_report(g)
+        assert total == edge_count_direct(g) == edge_count_theorem(g)
+        assert total == edge_count_recursive(2, 40)[-1]
+
+    def test_report_raises_when_routes_disagree(self, monkeypatch):
+        monkeypatch.setattr(analysis, "edge_count_theorem", lambda g: 0)
+        with pytest.raises(TheoremViolationError,
+                           match=r"^edge counts disagree for a=2, n=5: "
+                                 r"direct=8 theorem=0 recursive=8$"):
+            edge_count_report(build(2, 5))
 
     @given(a=st.integers(1, 40), n=st.integers(1, 3000), data=st.data())
     @settings(max_examples=100, deadline=None)
@@ -86,11 +95,11 @@ class TestCompletePrefixCount:
 class TestMilestone:
     @pytest.mark.parametrize("a,n_star", [(1, 3), (2, 7), (3, 13)])
     def test_examples(self, a, n_star):
-        assert milestone_delta(a).n_star == n_star
+        assert milestone_delta(a) == n_star
 
     @pytest.mark.parametrize("a", list(range(1, 21)))
     def test_prediction(self, a):
-        assert milestone_delta(a).n_star == a * (a + 1) + 1
+        assert milestone_delta(a) == a * (a + 1) + 1
 
 
 class TestVerifySuite:
@@ -292,20 +301,28 @@ def test_edge_count_report_reuses_the_graph_table(monkeypatch):
         return real_table(a, n)
 
     monkeypatch.setattr(analysis.sequences, "c_series", table)
-    report = edge_count_report(g)
+    total = edge_count_report(g)
     assert calls["c_series"] == 0
-    assert report.recursive == edge_count_recursive(2, 500)[-1] == edge_count_direct(g)
+    assert total == edge_count_recursive(2, 500)[-1] == edge_count_direct(g)
     assert calls["c_series"] == 1  # the counter sees a table build
 
 
+def _flat_table(a, horizon):
+    # a degenerate table: c = 0 everywhere, so every v_j has in-window [0, j-1]
+    return analysis.sequences.SequenceTable(a, horizon, tuple([0] * (horizon + 1)))
+
+
 def test_milestone_reports_violation_when_search_exhausts(monkeypatch):
-    # feed the search a degenerate table in which no vertex ever reaches
-    # the target degree; the bounded search must fail loudly
-    from jaco.sequences import SequenceTable
-
-    def flat_table(a, horizon):
-        return SequenceTable(a, horizon, tuple([0] * (horizon + 1)))
-
-    monkeypatch.setattr(analysis.sequences, "c_series", flat_table)
+    # in the flat table no vertex ever reaches the target degree; the
+    # bounded search must fail loudly
+    monkeypatch.setattr(analysis.sequences, "c_series", _flat_table)
     with pytest.raises(TheoremViolationError):
         milestone_delta(2)
+
+
+def test_degree_identity_counts_out_degrees_from_the_in_windows(monkeypatch):
+    # dplus[m] + dminus[m] = a*m holds for any table by the column
+    # definitions; the out-degree read off the in-windows does not
+    assert analysis._claim_degree_identity(2, 50) is None
+    monkeypatch.setattr(analysis.sequences, "c_series", _flat_table)
+    assert analysis._claim_degree_identity(2, 50) == "a=2 n=1"

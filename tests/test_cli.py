@@ -297,6 +297,26 @@ class TestExitStatus:
         assert "--out" in capsys.readouterr().out
 
 
+class TestRepeatedCalls:
+    # main builds its parser once per process, so no call may leak into the next
+    def test_back_to_back_calls_share_no_state(self, capsys, tmp_path):
+        assert cli._build_parser() is cli._build_parser()
+        code, out, _ = run(capsys, "paths", "--a", "1", "--n", "3", "--psi")
+        assert (code, out) == (0, "1 0 1\n2 1 1\n3 2 1\n")
+        code, out, _ = run(capsys, "paths", "--a", "1", "--n", "3")
+        assert (code, out) == (0, "1 0\n2 1\n3 2\n")
+        target = tmp_path / "g.csv"
+        code, out, _ = run(capsys, "build", "--a", "1", "--n", "3", "--format", "csv",
+                           "--out", str(target))
+        assert (code, out) == (0, "")
+        assert target.read_text() == "tail,head\n1,2\n2,3\n"
+        with pytest.raises(SystemExit) as exc:
+            main(["build", "--a", "0", "--n", "3"])
+        assert exc.value.code == 2
+        code, out, _ = run(capsys, "build", "--a", "1", "--n", "3")
+        assert (code, out) == (0, "digraph jaco_a1_n3 {\n  v1 -> v2;\n  v2 -> v3;\n}\n")
+
+
 _REQUIRED = {"build": ["--a", "--n"], "seq": ["--a", "--horizon"],
              "zeck": ["--a", "--value"], "verify": [], "paths": ["--a", "--n"],
              "milestone": ["--a"], "conjecture": ["--n"], "frob": []}

@@ -1,6 +1,7 @@
 import pytest
 
-from jaco.graph import build
+from jaco import paths
+from jaco.graph import JacoGraph, build
 from jaco.oracles import bfs_distances, enumerate_shortest_paths
 from jaco.paths import (
     UnsupportedOrderError,
@@ -13,6 +14,7 @@ from jaco.paths import (
     render_conjecture,
     uniqueness_check,
 )
+from jaco.sequences import c_series, recurrence_terms
 
 
 class TestDistances:
@@ -92,7 +94,7 @@ class TestPsiFast:
 class TestUniqueness:
     def test_examples(self):
         report = uniqueness_check(build(1, 9))
-        assert report.agree
+        assert not report.mismatches
         assert report.unique[8] and report.criterion[8]  # d+ = 5 is Fibonacci
         assert not report.unique[9] and not report.criterion[9]  # d+ = 6 is not
         assert report.unique[1] and report.criterion[1]
@@ -115,9 +117,9 @@ class TestUniqueness:
 
 class TestDistanceRoots:
     def test_examples(self):
-        assert distance_roots(build(1, 10)).indices == (1, 2, 3, 5, 8, 10)
-        assert distance_roots(build(2, 10)).indices == (1, 3, 7, 10)
-        assert distance_roots(build(1, 1)).indices == (1,)
+        assert distance_roots(build(1, 10)) == (1, 2, 3, 5, 8, 10)
+        assert distance_roots(build(2, 10)) == (1, 3, 7, 10)
+        assert distance_roots(build(1, 1)) == (1,)
 
     def test_members_are_liz_or_n(self):
         for a in (1, 2, 3):
@@ -125,8 +127,32 @@ class TestDistanceRoots:
             liz = [0, 1, 1]
             while liz[-1] < 200:
                 liz.append(a * liz[-1] + liz[-2])
-            for idx in roots.indices:
+            for idx in roots:
                 assert idx == 200 or idx in liz
+
+    @pytest.mark.parametrize("a", range(1, 7))
+    def test_matches_the_liz_construction(self, a):
+        # the reference: Liz numbers below n, plus n.  Every n up to 500, and
+        # up to 3000 every n next to a Liz number (each n costs O(n))
+        liz = recurrence_terms(a, 1, 1, at_least=3000)  # B_1, B_2, ...
+        near = {b + d for b in liz for d in (-1, 0, 1) if 1 <= b + d <= 3000}
+        seq = c_series(a, 3000)
+        for n in sorted(set(range(1, 501)) | near | {3000}):
+            want = tuple(sorted({n, *(b for b in liz if b < n)}))
+            assert distance_roots(JacoGraph(a, n, seq)) == want, f"a={a} n={n}"
+
+    def test_follows_the_distances(self, monkeypatch):
+        # J_10(1) has levels 3 = {v_4, v_5} and 4 = {v_6, v_7, v_8}; moving
+        # v_5 up to level 4 moves the root from 5 to 4
+        real = paths.distances
+
+        def moved(g):
+            dist = list(real(g))
+            dist[5] = dist[6]
+            return tuple(dist)
+
+        monkeypatch.setattr(paths, "distances", moved)
+        assert distance_roots(build(1, 10)) == (1, 2, 3, 4, 8, 10)
 
 
 class TestConjectureScan:

@@ -1,8 +1,9 @@
-"""Toy-size run of the benchmark's export workload.
+"""Toy-size runs of the benchmark's workloads.
 
-The traced pass reads the return value of export.to_dot, to_json and
-to_csv to count bytes and arcs; a renderer that bypasses those functions
-would leave both counts at zero.
+The traced export pass reads the return value of export.to_dot, to_json
+and to_csv to count bytes and arcs; a renderer that bypasses those
+functions would leave both counts at zero.  The untraced claims pass reads
+the `milestone` output and the fields of paths.uniqueness_check's report.
 """
 
 import json
@@ -13,14 +14,22 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_traced_export_workload_counts_bytes_and_arcs():
-    argv = [sys.executable, "perfbench/run.py", "--workload", "export", "--scale", "toy",
-            "--seed", "1", "--seconds", "1", "--trace", "1"]
+def _run(workload, trace):
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--scale", "toy",
+            "--seed", "1", "--seconds", "1", "--trace", str(trace)]
     done = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["correct"], done.stderr
     assert result["failed"] == 0
-    metrics = result["metrics"]
+    return result
+
+
+def test_traced_export_workload_counts_bytes_and_arcs():
+    metrics = _run("export", 1)["metrics"]
     assert metrics["export.bytes_out"]["value"] > 0
     assert metrics["export.arcs_out"]["value"] > 0
+
+
+def test_untraced_claims_workload_is_correct():
+    _run("claims", 0)

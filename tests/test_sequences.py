@@ -30,11 +30,11 @@ class TestLucasTerms:
         ],
     )
     def test_known_prefixes(self, a, m, expected):
-        assert list(lucas_terms(a, m).terms) == expected
+        assert list(lucas_terms(a, m)) == expected
 
     def test_strictly_increasing_from_u1(self):
         for a in range(1, 6):
-            terms = lucas_terms(a, 30).terms
+            terms = lucas_terms(a, 30)
             start = 2 if a == 1 else 1  # a=1 allows the single tie U_1 = U_2
             for i in range(start, 30):
                 assert terms[i + 1] > terms[i]
@@ -56,10 +56,10 @@ class TestLizTerms:
         ],
     )
     def test_known_prefixes(self, a, m, expected):
-        assert list(liz_terms(a, m).terms) == expected
+        assert list(liz_terms(a, m)) == expected
 
     def test_order_one_is_fibonacci(self):
-        assert liz_terms(1, 20).terms == lucas_terms(1, 20).terms
+        assert liz_terms(1, 20) == lucas_terms(1, 20)
 
     def test_rejects_short_request(self):
         with pytest.raises(ValueError):
@@ -234,7 +234,7 @@ class TestOrderOneBeatty:
 
 class TestBasisCacheIsolation:
     def test_public_results_are_immutable_tuples(self):
-        assert isinstance(lucas_terms(2, 5).terms, tuple)
+        assert isinstance(lucas_terms(2, 5), tuple)
         assert isinstance(c_series(2, 5).c, tuple)
         assert isinstance(zeck_encode(2, 9).digits, tuple)
 
