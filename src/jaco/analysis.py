@@ -1,5 +1,6 @@
-"""Edge counts by three independent routes, the maximum-degree milestone
-search, and the verification harness.
+"""Edge counts by the Hope decomposition and the prime-vertex recurrence
+(the direct count lives in graph), the maximum-degree milestone search,
+and the verification harness.
 
 The harness turns every structural claim the library relies on into a
 deterministic pass/fail check over a parameter grid, reporting the first
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from math import isqrt
 from typing import Callable
 
 from . import graph as graph_mod
@@ -31,12 +33,13 @@ from .graph import (
     arcs,
     build,
     degree_profile,
+    edge_count_direct,
     hope_is_complete,
     in_neighbors,
     jaconian,
     out_neighbors,
 )
-from .sequences import SequenceTable, check_order
+from .sequences import check_order
 
 
 class TheoremViolationError(RuntimeError):
@@ -60,23 +63,6 @@ class VerificationReport:
         return all(c.passed for c in self.claims)
 
 
-def _out_arcs(g: JacoGraph, k: int) -> int:
-    """Arcs leaving v_1..v_k: the sum of min(a*i + c[i], n) - i over i <= k.
-
-    O(1) from the prefix sum of c: the reach a*i + c[i] is below n exactly
-    for i < c[n], so the first j = min(k, c[n] - 1) reaches sum to
-    a*j(j+1)/2 + csum[j], and each of the k - j later ones is cut to n.
-    """
-    a, n = g.a, g.n
-    j = min(k, g.seq.c[n] - 1)
-    return a * j * (j + 1) // 2 + g.seq.csum[j] + (k - j) * n - k * (k + 1) // 2
-
-
-def edge_count_direct(g: JacoGraph) -> int:
-    """Ground truth: sum of finite out-degrees, in O(1) per graph."""
-    return _out_arcs(g, g.n)
-
-
 def edge_count_theorem(g: JacoGraph, info: JaconianInfo | None = None) -> int:
     """Edge total via the Hope decomposition.
 
@@ -87,7 +73,7 @@ def edge_count_theorem(g: JacoGraph, info: JaconianInfo | None = None) -> int:
     """
     k = (jaconian(g) if info is None else info).prime_index
     hope_size = g.n - k
-    return hope_size * (hope_size - 1) // 2 + _out_arcs(g, k)
+    return hope_size * (hope_size - 1) // 2 + graph_mod._out_arcs(g, k)
 
 
 def edge_count_recursive(a: int, n_max: int) -> list[int]:
@@ -100,14 +86,10 @@ def edge_count_recursive(a: int, n_max: int) -> list[int]:
     check_order(a)
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    return _edge_totals(sequences.c_series(a, n_max), n_max)
-
-
-def _edge_totals(seq: SequenceTable, n_max: int) -> list[int]:
-    """The recurrence of edge_count_recursive over a table the caller holds."""
+    seq = sequences.c_series(a, n_max)
     eps = [0]
     for n, info in enumerate(graph_mod.prefix_jaconians(seq, n_max - 1), 1):
-        eps.append(eps[-1] + _arcs_added(seq.a, n, info))
+        eps.append(eps[-1] + _arcs_added(a, n, info))
     return eps
 
 
@@ -123,19 +105,6 @@ def complete_prefix_count(a: int, m: int) -> int:
     if not 1 <= m <= a + 1:
         raise ValueError(f"complete-prefix formula requires 1 <= m <= a+1, got m={m}")
     return m * (m - 1) // 2
-
-
-def edge_count_report(g: JacoGraph) -> int:
-    """The edge total of g, on which all three routes agree; raises if they disagree."""
-    direct = edge_count_direct(g)
-    theorem = edge_count_theorem(g)
-    recursive = _edge_totals(g.seq, g.n)[g.n - 1]
-    if not direct == theorem == recursive:
-        raise TheoremViolationError(
-            f"edge counts disagree for a={g.a}, n={g.n}: "
-            f"direct={direct} theorem={theorem} recursive={recursive}"
-        )
-    return direct
 
 
 def milestone_delta(a: int) -> int:
@@ -232,9 +201,10 @@ def _claim_zeck_uniqueness(a, n):
 
 
 def _claim_bettina(a, n):
-    seq = sequences.c_series(a, n)
+    # order-1 out-degrees are c, Hofstadter's G-sequence (OEIS A005206), so
+    # floor((m+1)/phi) is exact and shares no code with c_series or c_closed
     for m in range(1, n + 1):
-        if sequences.bettina_dplus(m) != seq.dplus[m]:
+        if sequences.bettina_dplus(m) != (isqrt(5 * (m + 1) ** 2) - m - 1) // 2:
             return f"n={m}"
 
 

@@ -208,6 +208,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, IndexError) as exc:
         print(f"jaco: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (MemoryError, OverflowError) as exc:
+        # past 2**60 items CPython refuses a list before allocating any of it
+        print(f"jaco: input too large ({type(exc).__name__})", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

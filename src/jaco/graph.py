@@ -4,6 +4,9 @@ Arcs are never stored: both neighborhoods of a vertex are contiguous
 index intervals, so a graph is just (a, n) plus the sequence table.  The
 out-neighbors of v_i are [i+1, min(a*i + c[i], n)] and the in-neighbors of
 v_j are [c[j], j-1].  Vertex indexing is 1-based throughout.
+
+The cut at v_n: by the definition of c, a*i + c[i] >= n exactly when
+i >= c[n], so that min is a*i + c[i] below c[n] and n from c[n] on.
 """
 
 from __future__ import annotations
@@ -80,9 +83,8 @@ def in_neighbors(g: JacoGraph, j: int) -> range:
 def _last_heads(g: JacoGraph) -> Iterator[int]:
     """Yield r_i = min(a*i + c[i], n), the last head of v_i, for v_1..v_n.
 
-    As in degree_profile, v_i reaches past v_n exactly when i >= c[n], so
-    r_i is a*i + c[i] below c[n] and n from it.  v_i has out-arcs exactly
-    when r_i > i.
+    By the cut at v_n, r_i is a*i + c[i] below c[n] and n from it.  v_i has
+    out-arcs exactly when r_i > i.
     """
     a, n, c = g.a, g.n, g.seq.c
     k = c[n]
@@ -99,14 +101,30 @@ def arcs(g: JacoGraph) -> Iterator[tuple[int, int]]:
 def degree_profile(g: JacoGraph) -> DegreeProfile:
     """In-, finite out- and total degree of every vertex of J_n(a)."""
     a, n, c = g.a, g.n, g.seq.c
-    # by the definition of c[n], the reach a*i + c[i] is >= n exactly when
-    # i >= c[n]; from there on the out-degree is truncated to n - i.  Index 0
-    # comes out as 0 because c[0] = 0.
+    # by the cut at v_n, the out-degree is (a-1)*i + c[i] below c[n] and
+    # n - i from it.  Index 0 comes out as 0 because c[0] = 0.
     k = c[n]
     d_in = tuple([i - c[i] for i in range(n + 1)])
     d_out = tuple([(a - 1) * i + c[i] for i in range(k)] + list(range(n - k, -1, -1)))
     d_tot = tuple(map(operator.add, d_in, d_out))
     return DegreeProfile(d_in, d_out, d_tot)
+
+
+def _out_arcs(g: JacoGraph, k: int) -> int:
+    """Arcs leaving v_1..v_k: the sum of min(a*i + c[i], n) - i over i <= k.
+
+    O(1) from the prefix sum of c: by the cut at v_n, the first
+    j = min(k, c[n] - 1) reaches sum to a*j(j+1)/2 + csum[j], and each of
+    the k - j later ones is n.
+    """
+    a, n = g.a, g.n
+    j = min(k, g.seq.c[n] - 1)
+    return a * j * (j + 1) // 2 + g.seq.csum[j] + (k - j) * n - k * (k + 1) // 2
+
+
+def edge_count_direct(g: JacoGraph) -> int:
+    """Ground truth: sum of finite out-degrees, in O(1) per graph."""
+    return _out_arcs(g, g.n)
 
 
 def _jaconian_at(a: int, c: tuple[int, ...], m: int) -> JaconianInfo:
@@ -144,7 +162,7 @@ def prefix_jaconians(seq: SequenceTable, n: int) -> Iterator[JaconianInfo]:
     size of its Jaconian set.
 
     In J_m(a) vertex v_i has degree min(reach_i, m) - c[i], where
-    reach_i = a*i + c[i] increases with i.  By the definition of c, the
+    reach_i = a*i + c[i] increases with i.  By the cut at v_m, the
     vertices with reach_i >= m are exactly those from f = c[m] on.  Every
     v_i below f keeps its full degree a*i, largest at v_{f-1}.  Every later
     vertex has degree m - c[i] (at v_f this holds even when reach_f = m),

@@ -12,7 +12,6 @@ from jaco.analysis import (
     complete_prefix_count,
     edge_count_direct,
     edge_count_recursive,
-    edge_count_report,
     edge_count_theorem,
     milestone_delta,
     render_report,
@@ -54,25 +53,12 @@ class TestEdgeCounts:
             direct = edge_count_direct(g)
             assert direct == edge_count_theorem(g) == recursive[n - 1]
 
-    def test_report_object(self):
-        g = build(2, 40)
-        total = edge_count_report(g)
-        assert total == edge_count_direct(g) == edge_count_theorem(g)
-        assert total == edge_count_recursive(2, 40)[-1]
-
-    def test_report_raises_when_routes_disagree(self, monkeypatch):
-        monkeypatch.setattr(analysis, "edge_count_theorem", lambda g: 0)
-        with pytest.raises(TheoremViolationError,
-                           match=r"^edge counts disagree for a=2, n=5: "
-                                 r"direct=8 theorem=0 recursive=8$"):
-            edge_count_report(build(2, 5))
-
     @given(a=st.integers(1, 40), n=st.integers(1, 3000), data=st.data())
     @settings(max_examples=100, deadline=None)
     def test_out_arcs_match_literal_sum(self, a, n, data):
         g = build(a, n)
         k = data.draw(st.integers(0, n))
-        assert analysis._out_arcs(g, k) == out_degree_sum(g, k), f"a={a} n={n} k={k}"
+        assert graph._out_arcs(g, k) == out_degree_sum(g, k), f"a={a} n={n} k={k}"
         assert edge_count_direct(g) == out_degree_sum(g, n), f"a={a} n={n}"
 
 
@@ -291,22 +277,6 @@ def test_edge_triple_claim_builds_one_table_and_one_sweep(monkeypatch):
     assert calls == {"c_series": 2, "prefix_jaconians": 2}  # the counters see it
 
 
-def test_edge_count_report_reuses_the_graph_table(monkeypatch):
-    g = build(2, 500)
-    calls = Counter()
-    real_table = analysis.sequences.c_series
-
-    def table(a, n):
-        calls["c_series"] += 1
-        return real_table(a, n)
-
-    monkeypatch.setattr(analysis.sequences, "c_series", table)
-    total = edge_count_report(g)
-    assert calls["c_series"] == 0
-    assert total == edge_count_recursive(2, 500)[-1] == edge_count_direct(g)
-    assert calls["c_series"] == 1  # the counter sees a table build
-
-
 def _flat_table(a, horizon):
     # a degenerate table: c = 0 everywhere, so every v_j has in-window [0, j-1]
     return analysis.sequences.SequenceTable(a, horizon, tuple([0] * (horizon + 1)))
@@ -326,3 +296,21 @@ def test_degree_identity_counts_out_degrees_from_the_in_windows(monkeypatch):
     assert analysis._claim_degree_identity(2, 50) is None
     monkeypatch.setattr(analysis.sequences, "c_series", _flat_table)
     assert analysis._claim_degree_identity(2, 50) == "a=2 n=1"
+
+
+def test_order_one_outdegree_claim_does_not_share_a_fault_with_the_closed_form(monkeypatch):
+    # one fault in both c routes at (a, n) = (1, 17) passes seq.closed_form,
+    # which compares them; the Beatty form still finds it in bettina_dplus
+    real_table, real_closed = analysis.sequences.c_series, analysis.sequences.c_closed
+
+    def table(a, horizon):
+        c = list(real_table(a, horizon).c)
+        if a == 1 and horizon >= 17:
+            c[17] += 1
+        return analysis.sequences.SequenceTable(a, horizon, tuple(c))
+
+    monkeypatch.setattr(analysis.sequences, "c_series", table)
+    monkeypatch.setattr(analysis.sequences, "c_closed",
+                        lambda a, n: real_closed(a, n) + ((a, n) == (1, 17)))
+    assert analysis._claim_closed_form(1, 40) is None
+    assert analysis._claim_bettina(1, 40) == "n=17"

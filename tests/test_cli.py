@@ -289,6 +289,23 @@ class TestExitStatus:
         assert out == ""
         assert err.startswith("jaco: ")
 
+    # above 2**60 items CPython refuses the table before allocating it (a
+    # MemoryError, or an OverflowError past the index range), so these argvs
+    # allocate nothing; sizes between ~10**8 and 2**60 would really allocate
+    @pytest.mark.parametrize("argv", [
+        *([command, "--a", "1", flag, str(size)]
+          for command, flag in [("seq", "--horizon"), ("paths", "--n"), ("build", "--n")]
+          for size in (2**62, 2**63)),
+        *(["conjecture", "--n", str(size)] for size in (2**62, 2**63)),
+        *(["verify", "--n", str(size)] for size in (2**62, 2**63)),
+        ["milestone", "--a", str(10**9)],
+    ], ids=" ".join)
+    def test_too_large_input_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("jaco: input too large") and err.count("\n") == 1
+
     @pytest.mark.parametrize("command", sorted(cli._HANDLERS))
     def test_help_lists_out(self, capsys, command):
         with pytest.raises(SystemExit) as exc:
@@ -326,6 +343,11 @@ _SWITCHES = ["--psi", "--oracle-psi", "--check-closed-form", "--help", "--bogus"
 # mostly well-formed sizes <= 60, so that many argvs get past the parser
 _VALUES = (st.integers(1, 60).map(str) | st.integers(-2, 60).map(str)
            | st.sampled_from(["", "x", "1.5", "-", "0x3", " 4", "--a", "1e2"]))
+# sizes past 2**60 are refused before any allocation; never for an order,
+# where verify would loop over the grid for ever
+_SIZES = _VALUES | st.integers(2**61, 2**64).map(str)
+_VALUES_OF = {"--n": _SIZES, "--horizon": _SIZES,
+              "--format": st.sampled_from(["dot", "json", "csv", "svg"])}
 
 
 @st.composite
@@ -333,7 +355,7 @@ def _argvs(draw, out_dir):
     command = draw(st.sampled_from(sorted(_REQUIRED)))
     argv = [command]
     for flag in _REQUIRED[command]:
-        argv += [flag, draw(_VALUES)]
+        argv += [flag, draw(_VALUES_OF.get(flag, _VALUES))]
     for _ in range(draw(st.integers(0, 3))):
         kind = draw(st.integers(0, 2))
         if kind == 0:
@@ -343,9 +365,7 @@ def _argvs(draw, out_dir):
             argv += ["--out", str(out_dir / name)]
         else:
             flag = draw(st.sampled_from(_VALUE_FLAGS))
-            value = draw(st.sampled_from(["dot", "json", "csv", "svg"])
-                         if flag == "--format" else _VALUES)
-            argv += [flag, value]
+            argv += [flag, draw(_VALUES_OF.get(flag, _VALUES))]
     return argv
 
 
