@@ -50,8 +50,11 @@ class TheoremViolationError(RuntimeError):
 class ClaimResult:
     claim_id: str
     checked: str
-    passed: bool
     counterexample: str | None
+
+    @property
+    def passed(self) -> bool:
+        return self.counterexample is None
 
 
 @dataclass(frozen=True)
@@ -63,15 +66,14 @@ class VerificationReport:
         return all(c.passed for c in self.claims)
 
 
-def edge_count_theorem(g: JacoGraph, info: JaconianInfo | None = None) -> int:
+def edge_count_theorem(g: JacoGraph) -> int:
     """Edge total via the Hope decomposition.
 
     Arcs with tail above the prime index k live in the complete subgraph
     on the n - k Hope vertices; everything else is counted by the finite
-    out-degrees of v_1..v_k.  O(1) per graph; a caller that already holds
-    jaconian(g) passes it as info.
+    out-degrees of v_1..v_k.  O(1) per graph.
     """
-    k = (jaconian(g) if info is None else info).prime_index
+    k = jaconian(g).prime_index
     hope_size = g.n - k
     return hope_size * (hope_size - 1) // 2 + graph_mod._out_arcs(g, k)
 
@@ -181,9 +183,9 @@ def _claim_fixpoint(a, n):
 
 def _claim_zeck_roundtrip(a, n):
     for m in range(n + 1):
-        rep = sequences.zeck_encode(a, m)
+        digits = sequences.zeck_encode(a, m)
         try:
-            value = sequences.zeck_decode(a, rep)
+            value = sequences.zeck_decode(a, digits)
         except sequences.ZeckDigitError as exc:
             return f"a={a} n={m} ({exc})"
         if value != m:
@@ -196,7 +198,7 @@ def _claim_zeck_uniqueness(a, n):
         found = reps.get(value, [])
         if len(found) != 1:
             return f"a={a} n={value} reps={len(found)}"
-        if found[0] != sequences.zeck_encode(a, value).digits:
+        if found[0] != sequences.zeck_encode(a, value):
             return f"a={a} n={value} greedy differs"
 
 
@@ -327,22 +329,22 @@ def _claim_lowest_in_neighbor_attains_delta(a, n):
 
 def _claim_hope_complete(a, n):
     seq = sequences.c_series(a, n)
-    for m, info in enumerate(graph_mod.prefix_jaconians(seq, n), 1):
-        ok, witness = hope_is_complete(JacoGraph(a, m, seq), info)
+    for m in range(1, n + 1):
+        ok, witness = hope_is_complete(JacoGraph(a, m, seq))
         if not ok:
             return f"a={a} n={m} missing={witness}"
 
 
 def _claim_edge_triple(a, n):
-    # one sweep feeds all three routes: rec runs the recurrence of
-    # edge_count_recursive alongside; the last prefix is also checked
+    # the sweep feeds rec, which runs the recurrence of edge_count_recursive
+    # alongside the two closed forms; the last prefix is also checked
     # against the literal out-degree sum
     seq = sequences.c_series(a, n)
     rec = 0
     for m, info in enumerate(graph_mod.prefix_jaconians(seq, n), 1):
         g = JacoGraph(a, m, seq)
         direct = edge_count_direct(g)
-        thm = edge_count_theorem(g, info)
+        thm = edge_count_theorem(g)
         if not direct == thm == rec:
             return f"a={a} n={m} direct={direct} theorem={thm} recursive={rec}"
         rec += _arcs_added(a, m, info)
@@ -377,7 +379,7 @@ def _claim_distances(a, n):
 
 def _claim_psi_recursion(a, n):
     g = build(a, n)
-    rec = paths_mod.psi_recursive(g)
+    rec = oracles.psi_recursive(g)
     dp = paths_mod.psi_oracle(g)
     if rec != dp:
         j = next(i for i in range(1, n + 1) if rec[i] != dp[i])
@@ -499,10 +501,10 @@ def _run_claim(claim: _Claim, a_min: int, a_max: int, n: int) -> ClaimResult:
     elif a_min <= 1 <= a_max:
         orders, grid = (1,), "a=1"
     else:
-        return ClaimResult(claim.claim_id, "a=1 (skipped: outside grid)", True, None)
+        return ClaimResult(claim.claim_id, "a=1 (skipped: outside grid)", None)
     checked = f"{grid} {claim.tail.format(n=n)}".rstrip()
     counterexample = next(filter(None, (claim.fn(a, n) for a in orders)), None)
-    return ClaimResult(claim.claim_id, checked, counterexample is None, counterexample)
+    return ClaimResult(claim.claim_id, checked, counterexample)
 
 
 def verify_suite(a_min: int, a_max: int, n: int) -> VerificationReport:

@@ -150,11 +150,11 @@ def _cmd_seq(args) -> tuple[str, bool]:
 
 
 def _cmd_zeck(args) -> tuple[str, bool]:
-    rep = sequences.zeck_encode(args.a, args.value)
-    lines = [f"alpha[{i + 1}]={alpha}" for i, alpha in enumerate(rep.digits)]
-    if rep.digits:
-        lines.append(f"tau={sequences.tau(rep)}")
-    ok = sequences.zeck_decode(args.a, rep) == args.value
+    digits = sequences.zeck_encode(args.a, args.value)
+    lines = [f"alpha[{i + 1}]={alpha}" for i, alpha in enumerate(digits)]
+    if digits:
+        lines.append(f"tau={sequences.tau(digits)}")
+    ok = sequences.zeck_decode(args.a, digits) == args.value
     lines.append(f"value_check={'OK' if ok else 'FAIL'}")
     return "\n".join(lines) + "\n", ok
 

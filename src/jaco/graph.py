@@ -183,17 +183,14 @@ def prefix_jaconians(seq: SequenceTable, n: int) -> Iterator[JaconianInfo]:
         yield _jaconian_at(a, c, m)
 
 
-def hope_is_complete(
-    g: JacoGraph, info: JaconianInfo | None = None
-) -> tuple[bool, tuple[int, int] | None]:
+def hope_is_complete(g: JacoGraph) -> tuple[bool, tuple[int, int] | None]:
     """Whether the subgraph above the prime index is complete.
 
     Returns (True, None) or (False, first missing pair).  Vacuously true
     for Hope ranges with fewer than two vertices.  The reach a*i + c[i]
     increases with i, so only the first Hope vertex can fall short of v_n.
-    A caller that already holds jaconian(g) passes it as info.
     """
-    hope = (jaconian(g) if info is None else info).hope_range
+    hope = jaconian(g).hope_range
     if len(hope) < 2:
         return True, None
     i = hope[0]

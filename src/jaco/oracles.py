@@ -5,17 +5,19 @@ no shortcuts, to serve as the second route of every dual check: the
 O(n^2) definition scan for the c series, the per-insertion graph builder,
 the per-vertex degree scan for the maximum degree, the out-degree sum of
 the edge count, exhaustive digit-string enumeration, breadth-first
-distances, and explicit shortest-path enumeration.  These are
-deliberately slow and are used by the verification suite and the test
-suite only.
+distances, explicit shortest-path enumeration, and the order-1
+Fibonacci-window recursion for path counts.  These are deliberately slow
+and are used by the verification suite and the test suite only.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 
 from .graph import JacoGraph, JaconianInfo, degree_profile, out_neighbors
-from .sequences import check_order
+from .paths import UnsupportedOrderError
+from .sequences import check_order, recurrence_terms
 
 
 def c_series_bruteforce(a: int, horizon: int) -> list[int]:
@@ -139,3 +141,27 @@ def enumerate_shortest_paths(g: JacoGraph, target: int) -> list[tuple[int, ...]]
 
     back(target, ())
     return paths
+
+
+def psi_recursive(g: JacoGraph) -> tuple[int, ...]:
+    """Order-1 path counts by the Fibonacci-window recursion.
+
+    For vertices whose out-degree is a Fibonacci number the shortest path
+    is unique (count 1); otherwise the count sums the counts over the
+    window from the lowest in-neighbor up to the largest Fibonacci number
+    below the vertex index.
+    """
+    if g.a != 1:
+        raise UnsupportedOrderError(g.a, "the Fibonacci-window recursion")
+    c = g.seq.c
+    fibs = recurrence_terms(1, 0, 1, at_least=g.n)  # 0, 1, 1, 2, 3, 5, ...
+    fibset = set(fibs)
+    psi = [0] * (g.n + 1)
+    psi[1] = 1
+    for j in range(2, g.n + 1):
+        if c[j] in fibset:  # at order 1, dplus[j] = c[j]
+            psi[j] = 1
+        else:
+            f_t = fibs[bisect_left(fibs, j) - 1]  # largest Fibonacci < j
+            psi[j] = sum(psi[i] for i in range(c[j], f_t + 1))
+    return tuple(psi)

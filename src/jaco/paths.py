@@ -5,18 +5,15 @@ Distances follow the forward recursion dist[i] = dist[c[i]] + 1 (the
 lowest in-neighbor always lies on a shortest path).  Path counts have one
 fast route, path_table, which is linear at every order; psi_oracle, the
 standard DAG dynamic program over in-neighbor windows, is its quadratic
-reference for the tests and the verification suite.  For order 1 only,
-psi_recursive is the Fibonacci-window recursion, quadratic and run only as
-a second route by the verification suite, paired with the "out-degree is
-a Fibonacci number" uniqueness criterion.  Out-degrees
-here are always the infinite-graph out-degrees dplus[j], which at order 1
-equal c[j]; the finite graph would give the last vertex out-degree 0 and
-trivialize every criterion.
+reference for the tests and the verification suite.  At order 1, path
+uniqueness is compared with the "out-degree is a Fibonacci number"
+criterion.  Out-degrees here are always the infinite-graph out-degrees
+dplus[j], which at order 1 equal c[j]; the finite graph would give the
+last vertex out-degree 0 and trivialize every criterion.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 
 from .graph import JacoGraph, build
@@ -116,30 +113,6 @@ def path_table(g: JacoGraph) -> PathTable:
         psi[j] = prefix[s] - prefix[c[j]]
         prefix[j + 1] = prefix[j] + psi[j]
     return PathTable(dist, tuple(psi))
-
-
-def psi_recursive(g: JacoGraph) -> tuple[int, ...]:
-    """Order-1 path counts by the Fibonacci-window recursion.
-
-    For vertices whose out-degree is a Fibonacci number the shortest path
-    is unique (count 1); otherwise the count sums the counts over the
-    window from the lowest in-neighbor up to the largest Fibonacci number
-    below the vertex index.
-    """
-    if g.a != 1:
-        raise UnsupportedOrderError(g.a, "the Fibonacci-window recursion")
-    c = g.seq.c
-    fibs = recurrence_terms(1, 0, 1, at_least=g.n)  # 0, 1, 1, 2, 3, 5, ...
-    fibset = set(fibs)
-    psi = [0] * (g.n + 1)
-    psi[1] = 1
-    for j in range(2, g.n + 1):
-        if c[j] in fibset:  # at order 1, dplus[j] = c[j]
-            psi[j] = 1
-        else:
-            f_t = fibs[bisect_left(fibs, j) - 1]  # largest Fibonacci < j
-            psi[j] = sum(psi[i] for i in range(c[j], f_t + 1))
-    return tuple(psi)
 
 
 def uniqueness_check(g: JacoGraph) -> UniquenessReport:

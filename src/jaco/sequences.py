@@ -10,6 +10,8 @@ computed on first access.
 The same series has a closed form over the generalized Lucas basis
 U(a, -1): expand n in the unique constrained digit expansion over that
 basis, shift every basis index down by one and add a 0/1 correction term.
+A digit expansion is a plain tuple of ints, alpha_1 first; the order a
+it is read in travels beside it as an argument.
 All arithmetic is exact (Python integers widen as needed).  Every
 sequence obeying x[i+1] = a*x[i] + x[i-1] (the Lucas basis, the Liz
 numbers, the Fibonacci numbers) comes from one cached builder,
@@ -36,19 +38,6 @@ def check_order(a: int) -> None:
     """Reject graph orders outside the defined domain (a >= 1)."""
     if a < 1:
         raise ValueError(f"order a must be >= 1, got {a}")
-
-
-@dataclass(frozen=True)
-class ZeckRep:
-    """Constrained digit expansion n = sum(alpha_i * U_i), alpha_1 first.
-
-    Digits are stored least-significant-first; the expansion of 0 is the
-    empty tuple.  Valid digit strings satisfy alpha_1 < a, alpha_i <= a,
-    and alpha_i = a only when alpha_{i-1} = 0.
-    """
-
-    a: int
-    digits: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -133,10 +122,13 @@ def c_series(a: int, horizon: int) -> SequenceTable:
     return SequenceTable(a, horizon, tuple(c))
 
 
-def zeck_encode(a: int, n: int) -> ZeckRep:
+def zeck_encode(a: int, n: int) -> tuple[int, ...]:
     """Greedy constrained digit expansion of n over the basis U(a, -1).
 
-    Working from the largest basis term down, take the largest admissible
+    Returns the digits of n = sum(alpha_i * U_i), alpha_1 first, with no
+    trailing zero; the expansion of 0 is the empty tuple.  Valid digit
+    strings satisfy alpha_1 < a, alpha_i <= a, and alpha_i = a only when
+    alpha_{i-1} = 0.  Working from the largest basis term down, take the largest admissible
     multiple of each term.  The remainder after position 2 is < U_2 = a
     and becomes alpha_1, so alpha_1 < a holds by construction, as does the
     rule that a full digit (alpha_i = a) is followed below by a zero.
@@ -145,7 +137,7 @@ def zeck_encode(a: int, n: int) -> ZeckRep:
     if n < 0:
         raise ValueError(f"value must be >= 0, got {n}")
     if n == 0:
-        return ZeckRep(a, ())
+        return ()
     terms = recurrence_terms(a, 0, 1, count=3, at_least=n)
     m = bisect_right(terms, n) - 1
     if m < 2:
@@ -161,57 +153,52 @@ def zeck_encode(a: int, n: int) -> ZeckRep:
     digits[0] = r
     while digits and digits[-1] == 0:
         digits.pop()
-    return ZeckRep(a, tuple(digits))
+    return tuple(digits)
 
 
-def validate_digits(rep: ZeckRep) -> None:
-    """Raise ZeckDigitError if rep violates any digit constraint."""
-    check_order(rep.a)
-    a = rep.a
-    d = rep.digits
-    if not d:
+def validate_digits(a: int, digits: tuple[int, ...]) -> None:
+    """Raise ZeckDigitError if digits violates any constraint of an order-a
+    digit string (see zeck_encode)."""
+    check_order(a)
+    if not digits:
         return
-    if d[-1] == 0:
-        raise ZeckDigitError(len(d), "leading digit must be nonzero")
-    if not 0 <= d[0] < a:
-        raise ZeckDigitError(1, f"alpha_1 must satisfy 0 <= alpha_1 < a, got {d[0]}")
-    for i in range(1, len(d)):
-        if not 0 <= d[i] <= a:
-            raise ZeckDigitError(i + 1, f"digit must be in [0, {a}], got {d[i]}")
-        if d[i] == a and d[i - 1] != 0:
+    if digits[-1] == 0:
+        raise ZeckDigitError(len(digits), "leading digit must be nonzero")
+    if not 0 <= digits[0] < a:
+        raise ZeckDigitError(1, f"alpha_1 must satisfy 0 <= alpha_1 < a, got {digits[0]}")
+    for i in range(1, len(digits)):
+        if not 0 <= digits[i] <= a:
+            raise ZeckDigitError(i + 1, f"digit must be in [0, {a}], got {digits[i]}")
+        if digits[i] == a and digits[i - 1] != 0:
             raise ZeckDigitError(i + 1, f"alpha_{i + 1} = a requires alpha_{i} = 0")
 
 
-def zeck_decode(a: int, rep: ZeckRep) -> int:
+def zeck_decode(a: int, digits: tuple[int, ...]) -> int:
     """Evaluate a digit string back to its integer value, validating it first."""
-    check_order(a)
-    if rep.a != a:
-        raise ValueError(f"representation has order {rep.a}, expected {a}")
-    validate_digits(rep)
-    if not rep.digits:
+    validate_digits(a, digits)
+    if not digits:
         return 0
-    terms = recurrence_terms(a, 0, 1, count=len(rep.digits) + 1)
-    return sum(alpha * terms[i + 1] for i, alpha in enumerate(rep.digits))
+    terms = recurrence_terms(a, 0, 1, count=len(digits) + 1)
+    return sum(alpha * terms[i + 1] for i, alpha in enumerate(digits))
 
 
-def tau(rep: ZeckRep) -> int:
+def tau(digits: tuple[int, ...]) -> int:
     """The 0/1 correction term of the closed form, read off the digits.
 
     Zero when alpha_1 = 0; one when alpha_1 > 1; otherwise determined by
     the parity of the run of leading ones and by whether the digit after
     the run is zero or larger than one.  For a = 1 this is always zero.
     """
-    d = rep.digits
-    if not d:
+    if not digits:
         raise ValueError("correction term is undefined for the zero representation")
-    if d[0] == 0:
+    if digits[0] == 0:
         return 0
-    if d[0] > 1:
+    if digits[0] > 1:
         return 1
     run = 1
-    while run < len(d) and d[run] == 1:
+    while run < len(digits) and digits[run] == 1:
         run += 1
-    after = d[run] if run < len(d) else 0
+    after = digits[run] if run < len(digits) else 0
     if after == 0:
         return run % 2
     return 1 - run % 2
@@ -222,10 +209,10 @@ def c_closed(a: int, n: int) -> int:
     check_order(a)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    rep = zeck_encode(a, n)
+    digits = zeck_encode(a, n)
     terms = recurrence_terms(a, 0, 1, at_least=n)
     # digit alpha_{i+1} (0-based index i) contributes alpha * U_i
-    return sum(alpha * terms[i] for i, alpha in enumerate(rep.digits) if alpha) + tau(rep)
+    return sum(alpha * terms[i] for i, alpha in enumerate(digits) if alpha) + tau(digits)
 
 
 def bettina_dplus(n: int) -> int:

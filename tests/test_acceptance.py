@@ -13,8 +13,14 @@ from jaco.analysis import (
 from jaco.cli import main
 from jaco.export import seq_dump, to_csv, to_dot, to_json
 from jaco.graph import JacoGraph, arcs, build, jaconian
-from jaco.oracles import bfs_distances, enumerate_shortest_paths, enumerate_zeck_reps, naive_build
-from jaco.paths import distances, psi_oracle, psi_recursive, uniqueness_check
+from jaco.oracles import (
+    bfs_distances,
+    enumerate_shortest_paths,
+    enumerate_zeck_reps,
+    naive_build,
+    psi_recursive,
+)
+from jaco.paths import distances, psi_oracle, uniqueness_check
 from jaco.sequences import bettina_dplus, c_closed, c_series, zeck_encode
 
 from test_export import GOLDEN
@@ -70,7 +76,7 @@ def test_04_zeckendorf_uniqueness():
         for a in (1, 2, 3):
             reps = enumerate_zeck_reps(a, 2000)
             for n in range(1, 2001):
-                assert reps.get(n, []) == [zeck_encode(a, n).digits], f"a={a} n={n}"
+                assert reps.get(n, []) == [zeck_encode(a, n)], f"a={a} n={n}"
 
 
 def test_05_graph_definition_equivalence():

@@ -177,6 +177,16 @@ class TestVerifySuite:
                 id="jaconian_scan",
             ),
             pytest.param(
+                (analysis.graph_mod, "jaconian"),
+                lambda real: lambda g: (
+                    dataclasses.replace(real(g), hope_range=range(1, g.n + 1))
+                    if g.n == 20 else real(g)
+                ),
+                (1, 1, 40),
+                {"graph.hope_complete": "a=1 n=20 missing=(1, 3)"},
+                id="hope_range",
+            ),
+            pytest.param(
                 (analysis, "edge_count_direct"),
                 lambda real: lambda g: real(g) + (g.n == 40),
                 (1, 1, 40),
@@ -213,18 +223,21 @@ class TestVerifySuite:
 
 
 def test_prefix_searches_do_not_rescan_per_prefix(monkeypatch):
-    # the prefix searches read the one-pass sweep: a full degree scan per
+    # the prefix searches read closed forms in c: a full degree scan per
     # prefix m would make these call counts grow with n and a
     calls = Counter()
-    for name in ("degree_profile", "jaconian"):
-        real = getattr(graph, name)
 
-        def counted(*args, _real=real, _name=name):
-            calls[_name] += 1
-            return _real(*args)
+    def counter(name, real):
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+        return counted
 
-        for module in (graph, analysis):
-            monkeypatch.setattr(module, name, counted)
+    scan = counter("degree_profile", graph.degree_profile)
+    for module in (graph, analysis):
+        monkeypatch.setattr(module, "degree_profile", scan)
+    oracles = analysis.oracles
+    monkeypatch.setattr(oracles, "jaconian_scan", counter("jaconian_scan", oracles.jaconian_scan))
 
     def count(fn, *args):
         calls.clear()
@@ -234,7 +247,8 @@ def test_prefix_searches_do_not_rescan_per_prefix(monkeypatch):
     assert count(milestone_delta, 12) == count(milestone_delta, 24)
     small = count(verify_suite, 1, 3, 80)
     assert small == count(verify_suite, 1, 3, 160)
-    assert small["jaconian"] > 0  # the counters do see the suite's own calls
+    # the counters do see the suite's own calls
+    assert small["degree_profile"] > 0 and small["jaconian_scan"] > 0
 
 
 def test_single_graph_routes_make_no_degree_scan(monkeypatch):

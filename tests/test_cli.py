@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from jaco import analysis, cli, sequences
+from jaco import analysis, cli, oracles, sequences
 from jaco.cli import main
 from jaco.graph import build
 from jaco.paths import psi_oracle
@@ -213,7 +213,7 @@ class TestPaths:
         def refuse(g):
             raise AssertionError("paths must not call psi_recursive")
 
-        monkeypatch.setattr(cli.paths, "psi_recursive", refuse)
+        monkeypatch.setattr(oracles, "psi_recursive", refuse)
         for a in (1, 2, 3):
             code, psi, _ = run(capsys, "paths", "--a", str(a), "--n", "40", "--psi")
             code2, oracle, _ = run(capsys, "paths", "--a", str(a), "--n", "40",

@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from jaco.graph import (
     JacoGraph,
-    JaconianInfo,
     arcs,
     build,
     degree_profile,
@@ -192,7 +191,8 @@ class TestHope:
 
     def test_reports_missing_pair(self):
         # a hand-made order-2 table with c = 1 throughout: v_2 reaches only
-        # v_5, so the arc v_2 -> v_6 is missing; v_3 already reaches v_7
+        # v_5, so the arc v_2 -> v_6 is missing; v_3 already reaches v_7.
+        # The closed form puts the Hope range at 2..6
         g = JacoGraph(2, 6, SequenceTable(2, 6, (0,) + (1,) * 6))
-        info = JaconianInfo(4, (1,), 1, range(2, 7))
-        assert hope_is_complete(g, info) == (False, (2, 6))
+        assert jaconian(g).hope_range == range(2, 7)
+        assert hope_is_complete(g) == (False, (2, 6))

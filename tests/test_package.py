@@ -1,7 +1,40 @@
+import ast
+from pathlib import Path
+
 import jaco
+
+SRC = Path(jaco.__file__).parent
 
 
 def test_every_exported_name_resolves():
     missing = [name for name in jaco.__all__ if not hasattr(jaco, name)]
     assert missing == []
     assert len(set(jaco.__all__)) == len(jaco.__all__)
+
+
+def _imported_modules(tree: ast.Module) -> set[str]:
+    """Package modules a source file imports, by bare name ("oracles")."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[-1] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = (node.module or "").removeprefix("jaco").lstrip(".")
+            if module:
+                found.add(module.split(".")[0])
+            else:  # from . import x, from jaco import x
+                found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_slow_second_routes_are_reached_only_through_the_claim_suite():
+    # oracles holds the deliberately slow reference routes; in the library
+    # only the verification suite in analysis may call them
+    trees = {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+    importers = {name for name, tree in trees.items() if "oracles" in _imported_modules(tree)}
+    assert importers == {"analysis"}
+    defined = {
+        node.name for node in trees["paths"].body if isinstance(node, ast.FunctionDef)
+    }
+    assert "psi_recursive" not in defined
+    assert "psi_recursive" not in jaco.__all__

@@ -2,7 +2,7 @@ import pytest
 
 from jaco import paths
 from jaco.graph import JacoGraph, build
-from jaco.oracles import bfs_distances, enumerate_shortest_paths
+from jaco.oracles import bfs_distances, enumerate_shortest_paths, psi_recursive
 from jaco.paths import (
     UnsupportedOrderError,
     conjecture_scan,
@@ -10,7 +10,6 @@ from jaco.paths import (
     distances,
     path_table,
     psi_oracle,
-    psi_recursive,
     render_conjecture,
     uniqueness_check,
 )

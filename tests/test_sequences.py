@@ -8,7 +8,6 @@ from jaco import sequences
 from jaco.oracles import c_series_bruteforce, enumerate_zeck_reps
 from jaco.sequences import (
     ZeckDigitError,
-    ZeckRep,
     bettina_dplus,
     c_closed,
     c_series,
@@ -112,43 +111,43 @@ class TestCSeries:
 
 class TestZeckendorf:
     def test_encode_examples(self):
-        assert zeck_encode(1, 7).digits == (0, 0, 1, 0, 1)  # 7 = 5 + 2
-        assert zeck_encode(2, 8).digits == (1, 1, 1)  # 8 = 5 + 2 + 1 (Pell)
-        assert zeck_encode(2, 4).digits == (0, 2)  # 4 = 2 * U_2
-        assert zeck_encode(3, 0).digits == ()
+        assert zeck_encode(1, 7) == (0, 0, 1, 0, 1)  # 7 = 5 + 2
+        assert zeck_encode(2, 8) == (1, 1, 1)  # 8 = 5 + 2 + 1 (Pell)
+        assert zeck_encode(2, 4) == (0, 2)  # 4 = 2 * U_2
+        assert zeck_encode(3, 0) == ()
 
     def test_decode_examples(self):
-        assert zeck_decode(1, ZeckRep(1, (0, 0, 1, 0, 1))) == 7
-        assert zeck_decode(2, ZeckRep(2, (1, 1, 1))) == 8
+        assert zeck_decode(1, (0, 0, 1, 0, 1)) == 7
+        assert zeck_decode(2, (1, 1, 1)) == 8
 
     def test_decode_rejects_full_digit_after_nonzero(self):
         with pytest.raises(ZeckDigitError) as err:
-            zeck_decode(2, ZeckRep(2, (1, 2)))
+            zeck_decode(2, (1, 2))
         assert err.value.index == 2
 
     def test_decode_rejects_bad_alpha1(self):
         with pytest.raises(ZeckDigitError) as err:
-            zeck_decode(1, ZeckRep(1, (1,)))
+            zeck_decode(1, (1,))
         assert err.value.index == 1
 
     def test_decode_rejects_oversized_digit(self):
         with pytest.raises(ZeckDigitError):
-            zeck_decode(2, ZeckRep(2, (0, 3)))
+            zeck_decode(2, (0, 3))
 
     def test_decode_rejects_zero_leading_digit(self):
         with pytest.raises(ZeckDigitError):
-            zeck_decode(2, ZeckRep(2, (1, 0)))
+            zeck_decode(2, (1, 0))
 
     def test_small_values_are_single_digit(self):
         for a in range(2, 6):
             for n in range(1, a):
-                assert zeck_encode(a, n).digits == (n,)
+                assert zeck_encode(a, n) == (n,)
 
     @pytest.mark.parametrize("a", [1, 2, 3])
     def test_uniqueness_small(self, a):
         reps = enumerate_zeck_reps(a, 300)
         for n in range(1, 301):
-            assert reps[n] == [zeck_encode(a, n).digits]
+            assert reps[n] == [zeck_encode(a, n)]
 
     @given(a=st.integers(1, 5), n=st.integers(0, 100_000))
     @settings(max_examples=300)
@@ -158,7 +157,7 @@ class TestZeckendorf:
 
     def test_order_one_alpha1_always_zero(self):
         for n in range(1, 2000):
-            digits = zeck_encode(1, n).digits
+            digits = zeck_encode(1, n)
             assert digits[0] == 0
 
 
@@ -167,12 +166,12 @@ class TestTau:
         assert tau(zeck_encode(2, 8)) == 1  # run of ones, length 3
         assert tau(zeck_encode(2, 7)) == 0  # alpha_1 = 0
         assert tau(zeck_encode(2, 6)) == 1  # single leading one, then zero
-        assert tau(ZeckRep(3, (2,))) == 1  # alpha_1 > 1
+        assert tau((2,)) == 1  # alpha_1 > 1
 
     def test_run_then_larger_digit(self):
         # 1 = alpha_1 = ... = alpha_i < alpha_{i+1}: parity of the run
-        assert tau(ZeckRep(3, (1, 2))) == 0  # run 1 (odd)
-        assert tau(ZeckRep(3, (1, 1, 2))) == 1  # run 2 (even)
+        assert tau((1, 2)) == 0  # run 1 (odd)
+        assert tau((1, 1, 2)) == 1  # run 2 (even)
 
     def test_order_one_always_zero(self):
         for n in range(1, 3000):
@@ -180,7 +179,7 @@ class TestTau:
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
-            tau(ZeckRep(2, ()))
+            tau(())
 
 
 class TestClosedForm:
@@ -236,7 +235,7 @@ class TestBasisCacheIsolation:
     def test_public_results_are_immutable_tuples(self):
         assert isinstance(lucas_terms(2, 5), tuple)
         assert isinstance(c_series(2, 5).c, tuple)
-        assert isinstance(zeck_encode(2, 9).digits, tuple)
+        assert isinstance(zeck_encode(2, 9), tuple)
 
 
 def test_horizon_zero_table():
