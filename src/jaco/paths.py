@@ -2,19 +2,29 @@
 for the open non-repetitiveness conjecture at order 1.
 
 Distances follow the forward recursion dist[i] = dist[c[i]] + 1 (the
-lowest in-neighbor always lies on a shortest path).  Path counts have one
-fast route, path_table, which is linear at every order; psi_oracle, the
-standard DAG dynamic program over in-neighbor windows, is its quadratic
-reference for the tests and the verification suite.  At order 1, path
-uniqueness is compared with the "out-degree is a Fibonacci number"
-criterion.  Out-degrees here are always the infinite-graph out-degrees
-dplus[j], which at order 1 equal c[j]; the finite graph would give the
-last vertex out-degree 0 and trivialize every criterion.
+lowest in-neighbor always lies on a shortest path).  Since c is
+non-decreasing, the vertices at one distance form a run, a level, and
+each level's end follows from the previous one's end e alone, as
+min(a*e + c[e], n).  distances and path_table walk these levels, about
+log n of them, and do the per-vertex work of each level in C iterators:
+a run of one repeated distance, and one map of prefix-sum differences
+for the path counts.  Path counts have one fast route, path_table, which
+is linear at every order; psi_oracle, the standard DAG dynamic program
+over in-neighbor windows, is its quadratic reference for the tests and
+the verification suite.  At order 1, path uniqueness is compared with
+the "out-degree is a Fibonacci number" criterion.  Out-degrees here are
+always the infinite-graph out-degrees dplus[j], which at order 1 equal
+c[j]; the finite graph would give the last vertex out-degree 0 and
+trivialize every criterion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate, chain, repeat
+from operator import and_, ne, sub
+from typing import Iterator
 
 from .graph import JacoGraph, build
 from .sequences import recurrence_terms
@@ -53,27 +63,66 @@ class UniquenessReport:
 class ConjectureReport:
     """Scan of the non-repetitiveness biconditional for 7 <= k <= n_max - 1.
 
-    Each row is (k, dplus triple, psi triple, forward ok, converse ok);
-    forward is "dplus non-repetitive implies psi non-repetitive" and
-    converse the reverse implication.  Nothing is asserted: violations
-    are report content.
+    Holds the two columns the scan reads, dplus[0..n_max] (at order 1 this
+    is c) and psi[0..n_max].  A triple (x[k-1], x[k], x[k+1]) is
+    non-repetitive when no two neighbours are equal.  Each row is
+    (k, dplus triple, psi triple, forward ok, converse ok); forward is
+    "dplus non-repetitive implies psi non-repetitive" and converse the
+    reverse implication.  Nothing is asserted: violations are report
+    content.
     """
 
     n_max: int
-    rows: tuple[tuple[int, tuple[int, int, int], tuple[int, int, int], bool, bool], ...]
+    dplus: tuple[int, ...]
+    psi: tuple[int, ...]
+
+    @cached_property
+    def _flags(self) -> tuple[list[bool], list[bool]]:
+        """Whether the dplus and the psi triple at k are non-repetitive, k = 7..n_max-1."""
+        return _non_repetitive(self.dplus, self.n_max), _non_repetitive(self.psi, self.n_max)
+
+    @property
+    def rows(self) -> tuple[tuple[int, tuple[int, int, int], tuple[int, int, int], bool, bool], ...]:
+        d, p = self.dplus, self.psi
+        return tuple(
+            (k, (d[k - 1], d[k], d[k + 1]), (p[k - 1], p[k], p[k + 1]),
+             p_nr or not d_nr, d_nr or not p_nr)
+            for k, d_nr, p_nr in zip(range(7, self.n_max), *self._flags)
+        )
 
     @property
     def violations(self) -> int:
-        return sum((not fwd) + (not conv) for _, _, _, fwd, conv in self.rows)
+        # forward fails where only dplus is non-repetitive, converse where only psi is
+        return sum(map(ne, *self._flags))
+
+
+def _non_repetitive(x: tuple[int, ...], n_max: int) -> list[bool]:
+    """[x[k-1] != x[k] and x[k] != x[k+1] for k in 7..n_max-1]."""
+    steps = list(map(ne, x[6:n_max], x[7 : n_max + 1]))  # steps[i]: x[6+i] != x[7+i]
+    return list(map(and_, steps, steps[1:]))
+
+
+def _levels(g: JacoGraph) -> Iterator[tuple[int, int]]:
+    """Yield the first and last vertex of each distance level, v_1's first.
+
+    Level 0 is {v_1}.  dist[i] = dist[c[i]] + 1 and c is non-decreasing,
+    so v_i lies past the level ending at v_e exactly when c[i] > e, and
+    c[i] <= e exactly when i <= a*e + c[e].  So the level after the one
+    ending at v_e ends at min(a*e + c[e], n); only c is read, once per level.
+    """
+    a, n, c = g.a, g.n, g.seq.c
+    s = e = 1
+    while True:
+        yield s, e
+        if e == n:
+            return
+        s, e = e + 1, min(a * e + c[e], n)
 
 
 def distances(g: JacoGraph) -> tuple[int, ...]:
-    """dist[i] = hops from v_1 to v_i; dist[1] = 0, dist[i] = dist[c[i]] + 1."""
-    dist = [0] * (g.n + 1)
-    c = g.seq.c
-    for i in range(2, g.n + 1):
-        dist[i] = dist[c[i]] + 1
-    return tuple(dist)
+    """dist[i] = hops from v_1 to v_i, with dist[0] = 0: a run of d per level d."""
+    runs = (repeat(d, e - s + 1) for d, (s, e) in enumerate(_levels(g)))
+    return tuple(chain((0,), chain.from_iterable(runs)))
 
 
 def psi_oracle(g: JacoGraph) -> tuple[int, ...]:
@@ -94,24 +143,24 @@ def psi_oracle(g: JacoGraph) -> tuple[int, ...]:
 
 
 def path_table(g: JacoGraph) -> PathTable:
-    """Distances plus path counts for any order in O(n) via prefix sums.
+    """Distances plus path counts for any order in O(n), one level at a time.
 
-    c is non-decreasing, so dist[i] = dist[c[i]] + 1 is too (by induction);
-    hence the in-neighbors of v_j one hop closer are exactly [c[j], s-1],
-    where s is the first vertex at v_j's distance.
+    The in-neighbors of v_j one hop closer to v_1 are exactly [c[j], s-1],
+    where s is the first vertex of v_j's level.  With the prefix sums
+    T[i] = psi[1] + ... + psi[i-1], psi[j] = T[s] - T[c[j]], so a whole
+    level is one map over its slice of c, and T grows by one accumulate.
     """
-    n, c = g.n, g.seq.c
     dist = distances(g)
-    psi = [0] * (n + 1)
-    psi[1] = 1
-    prefix = [0] * (n + 2)  # prefix[i] = psi[1] + ... + psi[i-1]
-    prefix[2] = 1
-    s = 1
-    for j in range(2, n + 1):
-        if dist[j] != dist[j - 1]:
-            s = j
-        psi[j] = prefix[s] - prefix[c[j]]
-        prefix[j + 1] = prefix[j] + psi[j]
+    c = g.seq.c
+    psi = [0, 1]
+    T = [0, 0, 1]  # T[0] unused
+    levels = _levels(g)
+    next(levels)  # level 0 is {v_1}
+    for s, e in levels:
+        level = list(map(sub, repeat(T[s]), map(T.__getitem__, c[s : e + 1])))
+        psi += level
+        T += accumulate(level, initial=T.pop())  # yields T[s] first, then T[s+1..e+1]
+    del T  # drop the sums before tuple(psi) copies psi, so the two never meet
     return PathTable(dist, tuple(psi))
 
 
@@ -135,10 +184,6 @@ def distance_roots(g: JacoGraph) -> tuple[int, ...]:
     return (*(i for i in range(1, g.n) if dist[i + 1] != dist[i]), g.n)
 
 
-def _non_repetitive(x: int, y: int, z: int) -> bool:
-    return x != y and y != z
-
-
 def conjecture_scan(n_max: int) -> ConjectureReport:
     """Scan the order-1 non-repetitiveness biconditional up to n_max - 1.
 
@@ -149,33 +194,37 @@ def conjecture_scan(n_max: int) -> ConjectureReport:
     if n_max < 9:
         raise ValueError(f"n_max must be >= 9, got {n_max}")
     g = build(1, n_max)
-    dplus = g.seq.c  # at order 1, dplus[k] = c[k]
-    psi = path_table(g).psi
-    rows = []
-    for k in range(7, n_max):
-        dtriple = (dplus[k - 1], dplus[k], dplus[k + 1])
-        ptriple = (psi[k - 1], psi[k], psi[k + 1])
-        d_nr = _non_repetitive(*dtriple)
-        p_nr = _non_repetitive(*ptriple)
-        forward = p_nr if d_nr else True
-        converse = d_nr if p_nr else True
-        rows.append((k, dtriple, ptriple, forward, converse))
-    return ConjectureReport(n_max, tuple(rows))
+    return ConjectureReport(n_max, g.seq.c, path_table(g).psi)  # at order 1, dplus = c
+
+
+# the end of each line, keyed by (dplus triple non-repetitive, psi triple
+# non-repetitive)
+_VERDICTS = {
+    (False, False): "forward=OK converse=OK\n",
+    (False, True): "forward=OK converse=VIOLATION\n",
+    (True, False): "forward=VIOLATION converse=OK\n",
+    (True, True): "forward=OK converse=OK\n",
+}
 
 
 def render_conjecture(report: ConjectureReport) -> str:
-    """Line-oriented text form of a conjecture scan."""
-    lines = []
-    for k, dtriple, ptriple, forward, converse in report.rows:
-        lines.append(
-            "k={} dplus=({},{},{}) psi=({},{},{}) forward={} converse={}".format(
-                k, *dtriple, *ptriple,
-                "OK" if forward else "VIOLATION",
-                "OK" if converse else "VIOLATION",
-            )
-        )
-    lines.append(
-        f"SUMMARY scanned=7..{report.n_max - 1} violations={report.violations}"
+    """Line-oriented text form of a conjecture scan, one line per k:
+
+        k=7 dplus=(4,4,5) psi=(2,2,1) forward=OK converse=OK
+
+    then a SUMMARY line.  Each value is formatted once and shared by the
+    three lines whose triples hold it, and the text is one join over the
+    pieces of every line in order, so no line string is built.
+    """
+    n = report.n_max
+    d = list(map(str, report.dplus[6 : n + 1]))
+    p = list(map(str, report.psi[6 : n + 1]))
+    verdicts = map(_VERDICTS.__getitem__, zip(*report._flags))
+    pieces = zip(
+        repeat("k="), map(str, range(7, n)),
+        repeat(" dplus=("), d, repeat(","), d[1:], repeat(","), d[2:],
+        repeat(") psi=("), p, repeat(","), p[1:], repeat(","), p[2:],
+        repeat(") "), verdicts,
     )
-    lines.append("")
-    return "\n".join(lines)
+    summary = f"SUMMARY scanned=7..{n - 1} violations={report.violations}\n"
+    return "".join(chain(chain.from_iterable(pieces), (summary,)))

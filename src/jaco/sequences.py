@@ -103,10 +103,13 @@ def liz_terms(a: int, m: int) -> tuple[int, ...]:
 
 
 def c_series(a: int, horizon: int) -> SequenceTable:
-    """Compute c[0..horizon] in O(horizon).
+    """Compute c[0..horizon] in O(horizon), one tight step per n.
 
     The defining minimization is a scan over k < n, but the minimizing k
-    never decreases as n grows, so a single forward pointer suffices.
+    never decreases as n grows, so a single forward pointer k suffices,
+    carried with its reach a*k + c[k].  c[n] = k exactly while n <= that
+    reach, and the next reach is at least one further (a >= 1 and c is
+    non-decreasing), so k never needs more than one step per n.
     """
     check_order(a)
     if horizon < 0:
@@ -114,10 +117,11 @@ def c_series(a: int, horizon: int) -> SequenceTable:
     c = [0] * (horizon + 1)
     if horizon >= 1:
         c[1] = 1
-    k = 1
+    k, reach = 1, a + 1
     for n in range(2, horizon + 1):
-        while a * k + c[k] < n:
+        if n > reach:
             k += 1
+            reach = a * k + c[k]
         c[n] = k
     return SequenceTable(a, horizon, tuple(c))
 

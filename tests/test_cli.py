@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import os
 import threading
 
@@ -252,6 +253,29 @@ class TestConjecture:
         code, _, err = run(capsys, "conjecture", "--n", "8")
         assert code == 2
         assert "got 8" in err
+
+
+# sha256 of stdout, recorded from the per-vertex kernels these outputs were
+# first computed with; the level-at-a-time kernels must reproduce every byte
+LARGE_OUTPUT_DIGESTS = {
+    "conjecture --n 20000":
+        "fc0291aae45b7eda2b258ff6f54bb4821474fce7e1512ec46c2a1dd18cb95cea",
+    "paths --a 1 --n 5000 --psi":
+        "56975467144e4d24d0e5f453fab536d202c57b26c72b066e6e7e01e4bf09e95a",
+    "paths --a 2 --n 5000 --psi":
+        "914edcf87d2be63494e76551df99a56b2d77559b70113e931c7b243e83b7d856",
+    "paths --a 3 --n 5000 --psi":
+        "d800df7d8a622c7a60a73f0f15d2b558bb550fcda5eb1c09ca0ca63256faec7e",
+    "seq --a 2 --horizon 5000":
+        "a1f6c0c442db4265cab1e15f3f907ae8bf9ffa71e19ca3bc6ec8c1faa7b419f6",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(LARGE_OUTPUT_DIGESTS))
+def test_large_output_digest(capsys, argv):
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == LARGE_OUTPUT_DIGESTS[argv]
 
 
 class TestExitStatus:

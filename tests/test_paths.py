@@ -1,9 +1,13 @@
+import random
+
 import pytest
 
 from jaco import paths
 from jaco.graph import JacoGraph, build
 from jaco.oracles import bfs_distances, enumerate_shortest_paths, psi_recursive
 from jaco.paths import (
+    ConjectureReport,
+    PathTable,
     UnsupportedOrderError,
     conjecture_scan,
     distance_roots,
@@ -83,6 +87,15 @@ class TestPsiFast:
         # so one graph covers every n <= 2*10^4
         dist = path_table(build(a, 20_000)).dist
         assert all(dist[i] <= dist[i + 1] for i in range(1, 20_000))
+
+    @pytest.mark.parametrize("a", range(1, 7))
+    def test_every_cut_matches_bfs_and_oracle(self, a):
+        # the last level is cut at v_n, anywhere inside a full level
+        for n in range(1, 151):
+            g = build(a, n)
+            dist = tuple([0] + bfs_distances(g)[1:])
+            assert path_table(g) == PathTable(dist, psi_oracle(g)), f"a={a} n={n}"
+            assert distances(g) == dist
 
     def test_path_table(self):
         t = path_table(build(1, 13))
@@ -176,3 +189,73 @@ class TestConjectureScan:
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             conjecture_scan(8)
+
+
+def reference_conjecture(n_max, dplus, psi):
+    """Rows, violation count and text of a scan, one row at a time."""
+    rows, lines = [], []
+    for k in range(7, n_max):
+        dtriple = (dplus[k - 1], dplus[k], dplus[k + 1])
+        ptriple = (psi[k - 1], psi[k], psi[k + 1])
+        d_nr = dtriple[0] != dtriple[1] and dtriple[1] != dtriple[2]
+        p_nr = ptriple[0] != ptriple[1] and ptriple[1] != ptriple[2]
+        forward = p_nr if d_nr else True
+        converse = d_nr if p_nr else True
+        rows.append((k, dtriple, ptriple, forward, converse))
+        lines.append(
+            "k={} dplus=({},{},{}) psi=({},{},{}) forward={} converse={}".format(
+                k, *dtriple, *ptriple,
+                "OK" if forward else "VIOLATION",
+                "OK" if converse else "VIOLATION",
+            )
+        )
+    violations = sum((not fwd) + (not conv) for *_, fwd, conv in rows)
+    lines.append(f"SUMMARY scanned=7..{n_max - 1} violations={violations}")
+    lines.append("")
+    return tuple(rows), violations, "\n".join(lines)
+
+
+class TestSyntheticConjectureReport:
+    """The real scan finds no violation, so synthetic columns drive the
+    VIOLATION branches: every pair of non-repetition flags occurs."""
+
+    def test_fixed_columns_hit_every_flag_pair(self):
+        # flags (dplus non-repetitive, psi non-repetitive) for k = 7..12:
+        # neither; psi only; both, with x[k-1] == x[k+1]; psi only twice;
+        # dplus only
+        dplus = (0, 0, 0, 0, 0, 0, 0, 2, 2, 1, 2, 2, 1, 2)
+        psi = (0, 0, 0, 0, 0, 0, 3, 3, 2, 1, 2, 1, 2, 2)
+        report = ConjectureReport(13, dplus, psi)
+        rows, violations, text = reference_conjecture(13, dplus, psi)
+        assert report.rows == rows
+        assert [row[3:] for row in rows] == [
+            (True, True), (True, False), (True, True), (True, False), (True, False),
+            (False, True),
+        ]
+        assert report.violations == violations == 4
+        assert render_conjecture(report) == text
+        lines = text.splitlines()
+        assert lines[1] == "k=8 dplus=(2,2,1) psi=(3,2,1) forward=OK converse=VIOLATION"
+        assert lines[5] == "k=12 dplus=(2,1,2) psi=(1,2,2) forward=VIOLATION converse=OK"
+        assert lines[6] == "SUMMARY scanned=7..12 violations=4"
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_columns_match_the_row_reference(self, seed):
+        rng = random.Random(seed)
+        n_max = rng.randrange(9, 300)
+        dplus = tuple(rng.randrange(3) for _ in range(n_max + 1))
+        psi = tuple(rng.randrange(3) * 10**rng.randrange(30) for _ in range(n_max + 1))
+        report = ConjectureReport(n_max, dplus, psi)
+        rows, violations, text = reference_conjecture(n_max, dplus, psi)
+        assert report.rows == rows
+        assert report.violations == violations
+        assert render_conjecture(report) == text
+        assert {row[3:] for row in rows} == {(True, True), (True, False), (False, True)}
+
+    def test_real_scan_matches_the_row_reference(self):
+        report = conjecture_scan(3000)
+        g = build(1, 3000)
+        rows, violations, text = reference_conjecture(3000, g.seq.c, psi_oracle(g))
+        assert report.rows == rows
+        assert report.violations == violations == 0
+        assert render_conjecture(report) == text

@@ -85,6 +85,13 @@ class TestCSeries:
     def test_matches_bruteforce_definition(self, a):
         assert list(c_series(a, 400).c) == c_series_bruteforce(a, 400)
 
+    @pytest.mark.parametrize("a", range(1, 7))
+    def test_every_horizon_matches_bruteforce(self, a):
+        # the carried reach starts at a + 1 and the table ends at the horizon:
+        # both edges show only at small horizons
+        for h in range(61):
+            assert list(c_series(a, h).c) == c_series_bruteforce(a, h), f"a={a} h={h}"
+
     @pytest.mark.parametrize("a", [1, 2, 3, 4, 5])
     def test_monotone_unit_steps(self, a):
         c = c_series(a, 500).c
