@@ -20,7 +20,9 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain, repeat, starmap, zip_longest
 from math import isqrt
+from operator import eq
 from typing import Callable
 
 from . import graph as graph_mod
@@ -236,30 +238,30 @@ def _claim_binet(a, n):
 
 
 def _claim_arc_relation(a, n):
-    # equal counts and every fast arc among the naive ones make the sets
-    # equal; the fast set is built only to name a counterexample
-    naive_arcs, _ = oracles.naive_build(a, n)
+    # both routes give their arcs in lexicographic order, so the relations
+    # agree exactly when the two streams match pair by pair to the longer
+    # end; the sets are built only to name a counterexample
+    _, heads = oracles.naive_build(a, n)
     g = build(a, n)
-    count = edge_count_direct(g)
-    if count != len(naive_arcs) or not all(map(naive_arcs.__contains__, arcs(g))):
-        stray = sorted(set(arcs(g)) ^ naive_arcs)
+    count, naive = edge_count_direct(g), sum(map(len, heads))
+
+    def naive_arcs():
+        return chain.from_iterable(zip(repeat(i), h) for i, h in enumerate(heads))
+
+    if count != naive or not all(starmap(eq, zip_longest(arcs(g), naive_arcs()))):
+        stray = sorted(set(arcs(g)) ^ set(naive_arcs()))
         if stray:
             return f"a={a} arc={stray[0]}"
-        return f"a={a} edges={count} naive={len(naive_arcs)}"
+        return f"a={a} edges={count} naive={naive}"
 
 
 def _claim_contiguity(a, n):
-    naive_arcs, _ = oracles.naive_build(a, n)
-    ins: dict[int, list[int]] = {j: [] for j in range(1, n + 1)}
-    outs: dict[int, list[int]] = {i: [] for i in range(1, n + 1)}
-    for i, j in naive_arcs:
-        ins[j].append(i)
-        outs[i].append(j)
-    # the neighbors of one vertex are distinct, so they form an interval
-    # exactly when their span equals their number
+    # the neighbors of one vertex are distinct and ascending, so they form
+    # an interval exactly when their span equals their number
+    tails, heads = oracles.naive_build(a, n)
     for v in range(1, n + 1):
-        for nbrs in (ins[v], outs[v]):
-            if nbrs and max(nbrs) - min(nbrs) + 1 != len(nbrs):
+        for nbrs in (tails[v], heads[v]):
+            if nbrs and nbrs[-1] - nbrs[0] + 1 != len(nbrs):
                 return f"a={a} vertex={v}"
 
 

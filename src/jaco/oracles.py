@@ -2,12 +2,14 @@
 
 Everything here recomputes a quantity straight from its definition with
 no shortcuts, to serve as the second route of every dual check: the
-O(n^2) definition scan for the c series, the per-insertion graph builder,
-the per-vertex degree scan for the maximum degree, the out-degree sum of
-the edge count, exhaustive digit-string enumeration, breadth-first
-distances, explicit shortest-path enumeration, and the order-1
-Fibonacci-window recursion for path counts.  These are deliberately slow
-and are used by the verification suite and the test suite only.
+O(n^2) definition scan for the c series, the per-insertion graph builder
+(which records ascending in- and out-neighbor lists per vertex, not a
+set of arcs), the per-vertex degree scan for the maximum degree, the
+out-degree sum of the edge count, exhaustive digit-string enumeration,
+breadth-first distances, explicit shortest-path enumeration, and the
+order-1 Fibonacci-window recursion for path counts.  These are
+deliberately slow and are used by the verification suite and the test
+suite only.
 """
 
 from __future__ import annotations
@@ -31,22 +33,26 @@ def c_series_bruteforce(a: int, horizon: int) -> list[int]:
     return c
 
 
-def naive_build(a: int, n: int) -> tuple[set[tuple[int, int]], list[int]]:
-    """Arc set of J_n(a) by inserting vertices one at a time.
+def naive_build(a: int, n: int) -> tuple[list[list[int]], list[list[int]]]:
+    """Arcs of J_n(a) by inserting vertices one at a time.
 
     When v_j arrives, every v_i with (a+1)*i - d_in(v_i) >= j gains an arc
     to it; in-degrees of earlier vertices are already final at that point.
-    Returns (arc set, in-degree list indexed 1..n with a leading zero).
+    Returns (tails, heads), each indexed 0..n with empty lists at 0:
+    tails[j] lists the v_i with an arc to v_j and heads[i] the v_j that v_i
+    has an arc to, both ascending, so d_in(v_i) is len(tails[i]).
     """
     check_order(a)
-    arcs: set[tuple[int, int]] = set()
+    tails: list[list[int]] = [[] for _ in range(n + 1)]
+    heads: list[list[int]] = [[] for _ in range(n + 1)]
     d_in = [0] * (n + 1)
     for j in range(2, n + 1):
         for i in range(1, j):
             if (a + 1) * i - d_in[i] >= j:
-                arcs.add((i, j))
-                d_in[j] += 1
-    return arcs, d_in
+                tails[j].append(i)
+                heads[i].append(j)
+        d_in[j] = len(tails[j])
+    return tails, heads
 
 
 def jaconian_scan(g: JacoGraph) -> JaconianInfo:

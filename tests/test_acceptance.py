@@ -2,6 +2,9 @@
 line and enforcing its stated runtime budget."""
 
 import time
+from bisect import bisect_right
+from itertools import chain, repeat, starmap, zip_longest
+from operator import eq
 
 from jaco.analysis import (
     complete_prefix_count,
@@ -82,14 +85,15 @@ def test_04_zeckendorf_uniqueness():
 def test_05_graph_definition_equivalence():
     with _Criterion(5, "range arcs equal per-definition builder", 10):
         for a in range(1, 5):
-            full_arcs, _ = naive_build(a, 300)
-            by_head = {}
-            for i, j in full_arcs:
-                by_head.setdefault(j, set()).add((i, j))
-            expected = set()
+            _, heads = naive_build(a, 300)
             for n in range(1, 301):
-                expected |= by_head.get(n, set())
-                assert set(arcs(build(a, n))) == expected, f"a={a} n={n}"
+                # the naive arcs with head <= n, in lexicographic order,
+                # streamed pairwise against the fast ones to the longer end
+                expected = chain.from_iterable(
+                    zip(repeat(i), h[:bisect_right(h, n)]) for i, h in enumerate(heads[:n])
+                )
+                pairs = zip_longest(arcs(build(a, n)), expected)
+                assert all(starmap(eq, pairs)), f"a={a} n={n}"
 
 
 def test_06_edge_count_triple_agreement():

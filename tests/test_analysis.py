@@ -1,4 +1,5 @@
 import dataclasses
+from bisect import insort
 from collections import Counter
 from pathlib import Path
 
@@ -23,6 +24,18 @@ from jaco.oracles import naive_build, out_degree_sum
 GOLDEN = Path(__file__).parent / "golden"
 
 
+def _toggle_arc(built, i, j, in_heads=True):
+    """Drop the arc (i, j) from naive_build's lists, or add it in order;
+    with in_heads=False only tails[j] changes."""
+    tails, heads = built
+    for nbrs, v in ((tails[j], i), (heads[i], j))[: 1 + in_heads]:
+        if v in nbrs:
+            nbrs.remove(v)
+        else:
+            insort(nbrs, v)
+    return tails, heads
+
+
 class TestEdgeCounts:
     def test_direct_examples(self):
         assert edge_count_direct(build(1, 8)) == 13
@@ -32,8 +45,9 @@ class TestEdgeCounts:
     def test_direct_matches_naive_enumeration(self):
         for a in (1, 2, 3):
             for n in (1, 2, 9, 60):
-                naive_arcs, _ = naive_build(a, n)
-                assert edge_count_direct(build(a, n)) == len(naive_arcs)
+                tails, heads = naive_build(a, n)
+                assert edge_count_direct(build(a, n)) == sum(map(len, tails))
+                assert edge_count_direct(build(a, n)) == sum(map(len, heads))
 
     def test_theorem_examples(self):
         assert edge_count_theorem(build(1, 8)) == 13
@@ -198,6 +212,44 @@ class TestVerifySuite:
                     ),
                 },
                 id="edge_count_direct",
+            ),
+            pytest.param(
+                (analysis.oracles, "naive_build"),
+                lambda real: lambda a, n: _toggle_arc(real(a, n), 8, 11),
+                (1, 1, 40),
+                {
+                    "graph.arc_relation_matches_naive_builder": "a=1 arc=(8, 11)",
+                    # heads[8] becomes 9, 10, 12, 13
+                    "graph.neighborhood_contiguity": "a=1 vertex=8",
+                },
+                id="naive_build_drops_arc",
+            ),
+            pytest.param(
+                (analysis.oracles, "naive_build"),
+                lambda real: lambda a, n: _toggle_arc(real(a, n), 1, 40),
+                (1, 1, 40),
+                {
+                    "graph.arc_relation_matches_naive_builder": "a=1 arc=(1, 40)",
+                    # heads[1] becomes 2, 40
+                    "graph.neighborhood_contiguity": "a=1 vertex=1",
+                },
+                id="naive_build_adds_arc",
+            ),
+            pytest.param(
+                (analysis.oracles, "naive_build"),
+                lambda real: lambda a, n: _toggle_arc(real(a, n), 9, 11, in_heads=False),
+                (1, 1, 40),
+                # the arc relation reads heads only; tails[11] becomes 7, 8, 10
+                {"graph.neighborhood_contiguity": "a=1 vertex=11"},
+                id="naive_build_tails_gap",
+            ),
+            pytest.param(
+                (analysis, "arcs"),
+                lambda real: lambda g: iter(list(real(g))[:-1]) if g.n == 40 else real(g),
+                (1, 1, 40),
+                # the counts agree, so only the lost last arc can show it
+                {"graph.arc_relation_matches_naive_builder": "a=1 arc=(39, 40)"},
+                id="arcs_loses_last",
             ),
         ],
     )

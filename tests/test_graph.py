@@ -36,15 +36,18 @@ class TestBuild:
     @pytest.mark.parametrize("a", [1, 2, 3, 4])
     def test_matches_naive_builder(self, a):
         for n in (1, 2, 7, 40, 150):
-            naive_arcs, naive_din = naive_build(a, n)
+            tails, heads = naive_build(a, n)
+            assert len(tails) == len(heads) == n + 1
+            # heads is the transpose of tails, and every list ascends
+            assert sorted((i, j) for j, t in enumerate(tails) for i in t) == [
+                (i, j) for i, h in enumerate(heads) for j in h
+            ]
+            assert all(nbrs == sorted(set(nbrs)) for nbrs in tails + heads)
             g = build(a, n)
-            assert set(arcs(g)) == naive_arcs
+            assert list(arcs(g)) == [(i, j) for i, h in enumerate(heads) for j in h]
             profile = degree_profile(g)
-            assert list(profile.d_in) == naive_din
-            naive_dout = [0] * (n + 1)
-            for i, _ in naive_arcs:
-                naive_dout[i] += 1
-            assert list(profile.d_out_finite) == naive_dout
+            assert list(profile.d_in) == list(map(len, tails))
+            assert list(profile.d_out_finite) == list(map(len, heads))
 
 
 class TestNeighborhoods:
