@@ -29,7 +29,6 @@ from .graph import (
     in_neighbors,
     jaconian,
     out_neighbors,
-    prefix_jaconians,
 )
 from .paths import (
     ConjectureReport,
@@ -90,7 +89,6 @@ __all__ = [
     "milestone_delta",
     "out_neighbors",
     "path_table",
-    "prefix_jaconians",
     "psi_oracle",
     "render_conjecture",
     "render_report",

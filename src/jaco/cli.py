@@ -2,12 +2,12 @@
 
 Subcommands: build (graph export), seq (sequence table), zeck (digit
 expansion of one value), verify (claim suite), paths (distances from v_1;
---psi, also spelled --oracle-psi, adds the linear-time shortest-path
-counts at any order), milestone (maximum-degree milestone search),
-conjecture (non-repetitiveness scan).  Each subcommand computes its text
-and whether its checks passed; main alone writes the text, to stdout or
-to --out, and sets the exit status: 0 success, 1 claim/conjecture
-violation, 2 usage or validation error, 3 I/O failure (3 outranks 1).
+--psi adds the linear-time shortest-path counts at any order), milestone
+(maximum-degree milestone search), conjecture (non-repetitiveness scan).
+Each subcommand computes its text and whether its checks passed; main
+alone writes the text, to stdout or to --out, and sets the exit status:
+0 success, 1 claim/conjecture violation, 2 usage or validation error,
+3 I/O failure (3 outranks 1).
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("paths", help="distances (and path counts) from v_1")
     p.add_argument("--a", type=_at_least(1, "a"), required=True)
     p.add_argument("--n", type=_at_least(1, "n"), required=True)
-    p.add_argument("--psi", "--oracle-psi", action="store_true",
+    p.add_argument("--psi", action="store_true",
                    help="add the shortest-path counts (linear time, any order)")
 
     p = sub.add_parser("milestone", help="smallest n with maximum degree a(a+1)")

@@ -72,7 +72,7 @@ def to_csv(g: JacoGraph) -> str:
 
 
 def seq_dump(t: SequenceTable) -> str:
-    """Tab-separated sequence table, one row per n from 0 to the horizon."""
+    """Tab-separated sequence table, one row per n of the table, from 0."""
     a = t.a
     lines = ["n\tc\td_minus\td_plus\treach"]
     lines.extend(

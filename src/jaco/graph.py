@@ -1,9 +1,10 @@
 """Finite Jaco graphs J_n(a) built on top of the sequence table.
 
 Arcs are never stored: both neighborhoods of a vertex are contiguous
-index intervals, so a graph is just (a, n) plus the sequence table.  The
-out-neighbors of v_i are [i+1, min(a*i + c[i], n)] and the in-neighbors of
-v_j are [c[j], j-1].  Vertex indexing is 1-based throughout.
+index intervals, so a graph is the prefix n of an order-a sequence table,
+which may run past v_n.  The out-neighbors of v_i are
+[i+1, min(a*i + c[i], n)] and the in-neighbors of v_j are [c[j], j-1].
+Vertex indexing is 1-based throughout.
 
 The cut at v_n: by the definition of c, a*i + c[i] >= n exactly when
 i >= c[n], so that min is a*i + c[i] below c[n] and n from c[n] on.
@@ -21,11 +22,14 @@ from .sequences import SequenceTable, c_series, check_order
 
 @dataclass(frozen=True)
 class JacoGraph:
-    """A finite Jaco graph of order a on vertices v_1..v_n."""
+    """A finite Jaco graph on vertices v_1..v_n, of the order of its table."""
 
-    a: int
-    n: int
     seq: SequenceTable
+    n: int
+
+    @property
+    def a(self) -> int:
+        return self.seq.a
 
 
 @dataclass(frozen=True)
@@ -45,14 +49,18 @@ class DegreeProfile:
 class JaconianInfo:
     """Maximum degree and the vertices attaining it.
 
-    prime_index is the lowest index attaining delta; hope_range is the
-    (always complete) induced subgraph above it, empty when prime = n.
+    prime_index, the lowest index attaining delta, is jaconian_set[0];
+    hope_range is the (always complete) induced subgraph above it, empty
+    when prime = n.
     """
 
     delta: int
     jaconian_set: tuple[int, ...]
-    prime_index: int
     hope_range: range
+
+    @property
+    def prime_index(self) -> int:
+        return self.jaconian_set[0]
 
 
 def build(a: int, n: int) -> JacoGraph:
@@ -60,7 +68,7 @@ def build(a: int, n: int) -> JacoGraph:
     check_order(a)
     if n < 1:
         raise ValueError(f"vertex count n must be >= 1, got {n}")
-    return JacoGraph(a, n, c_series(a, n))
+    return JacoGraph(c_series(a, n), n)
 
 
 def _check_vertex(g: JacoGraph, i: int) -> None:
@@ -127,39 +135,8 @@ def edge_count_direct(g: JacoGraph) -> int:
     return _out_arcs(g, g.n)
 
 
-def _jaconian_at(a: int, c: tuple[int, ...], m: int) -> JaconianInfo:
-    """jaconian(J_m(a)) in closed form, with f = c[m] (see prefix_jaconians).
-
-    v_{f-1} has its full degree a*(f-1); v_f has degree m - c[f] and shares
-    it with every later vertex up to reach_{c[f]}, cut at m.
-    """
-    f = c[m]
-    k = c[f]
-    top = m - k
-    full = a * (f - 1)
-    if full > top:
-        return JaconianInfo(full, (f - 1,), f - 1, range(f, m + 1))
-    end = a * k + c[k]
-    if end > m:
-        end = m
-    run = range(f, end + 1)
-    if full == top and f > 1:
-        return JaconianInfo(top, (f - 1, *run), f - 1, range(f, m + 1))
-    return JaconianInfo(top, tuple(run), f, range(f + 1, m + 1))
-
-
-def jaconian(g: JacoGraph) -> JaconianInfo:
-    """Maximum total degree, the vertices attaining it, and the Hope range.
-
-    O(1) plus the size of the Jaconian set, by the closed form that
-    prefix_jaconians derives.
-    """
-    return _jaconian_at(g.a, g.seq.c, g.n)
-
-
-def prefix_jaconians(seq: SequenceTable, n: int) -> Iterator[JaconianInfo]:
-    """Yield jaconian(J_m(a)) for m = 1..n, in O(1) per prefix plus the
-    size of its Jaconian set.
+def _jaconian_at(seq: SequenceTable, m: int) -> JaconianInfo:
+    """jaconian(J_m(a)) on the table seq, in O(1) plus the size of the set.
 
     In J_m(a) vertex v_i has degree min(reach_i, m) - c[i], where
     reach_i = a*i + c[i] increases with i.  By the cut at v_m, the
@@ -176,11 +153,28 @@ def prefix_jaconians(seq: SequenceTable, n: int) -> Iterator[JaconianInfo]:
     attained by v_{f-1} when f > 1 and a*(f-1) = delta, and by
     v_f..v_{e-1} when m - c[f] = delta.
     """
-    if n > seq.horizon:
-        raise ValueError(f"prefix count n={n} exceeds the table horizon {seq.horizon}")
     a, c = seq.a, seq.c
-    for m in range(1, n + 1):
-        yield _jaconian_at(a, c, m)
+    f = c[m]
+    k = c[f]
+    top = m - k
+    full = a * (f - 1)
+    if full > top:
+        return JaconianInfo(full, (f - 1,), range(f, m + 1))
+    end = a * k + c[k]
+    if end > m:
+        end = m
+    run = range(f, end + 1)
+    if full == top and f > 1:
+        return JaconianInfo(top, (f - 1, *run), range(f, m + 1))
+    return JaconianInfo(top, tuple(run), range(f + 1, m + 1))
+
+
+def jaconian(g: JacoGraph) -> JaconianInfo:
+    """Maximum total degree, the vertices attaining it, and the Hope range.
+
+    O(1) plus the size of the Jaconian set, by the closed form of _jaconian_at.
+    """
+    return _jaconian_at(g.seq, g.n)
 
 
 def hope_is_complete(g: JacoGraph) -> tuple[bool, tuple[int, int] | None]:

@@ -61,8 +61,7 @@ def jaconian_scan(g: JacoGraph) -> JaconianInfo:
     d_tot = degree_profile(g).d_total
     delta = max(d_tot[1:])
     jset = tuple(i for i in range(1, g.n + 1) if d_tot[i] == delta)
-    prime = jset[0]
-    return JaconianInfo(delta, jset, prime, range(prime + 1, g.n + 1))
+    return JaconianInfo(delta, jset, range(jset[0] + 1, g.n + 1))
 
 
 def out_degree_sum(g: JacoGraph, k: int) -> int:

@@ -64,17 +64,20 @@ class ConjectureReport:
     """Scan of the non-repetitiveness biconditional for 7 <= k <= n_max - 1.
 
     Holds the two columns the scan reads, dplus[0..n_max] (at order 1 this
-    is c) and psi[0..n_max].  A triple (x[k-1], x[k], x[k+1]) is
-    non-repetitive when no two neighbours are equal.  Each row is
-    (k, dplus triple, psi triple, forward ok, converse ok); forward is
-    "dplus non-repetitive implies psi non-repetitive" and converse the
-    reverse implication.  Nothing is asserted: violations are report
-    content.
+    is c) and psi[0..n_max], so n_max is len(psi) - 1.  A triple
+    (x[k-1], x[k], x[k+1]) is non-repetitive when no two neighbours are
+    equal.  Each row is (k, dplus triple, psi triple, forward ok, converse
+    ok); forward is "dplus non-repetitive implies psi non-repetitive" and
+    converse the reverse implication.  Nothing is asserted: violations are
+    report content.
     """
 
-    n_max: int
     dplus: tuple[int, ...]
     psi: tuple[int, ...]
+
+    @property
+    def n_max(self) -> int:
+        return len(self.psi) - 1
 
     @cached_property
     def _flags(self) -> tuple[list[bool], list[bool]]:
@@ -194,7 +197,7 @@ def conjecture_scan(n_max: int) -> ConjectureReport:
     if n_max < 9:
         raise ValueError(f"n_max must be >= 9, got {n_max}")
     g = build(1, n_max)
-    return ConjectureReport(n_max, g.seq.c, path_table(g).psi)  # at order 1, dplus = c
+    return ConjectureReport(g.seq.c, path_table(g).psi)  # at order 1, dplus = c
 
 
 # the end of each line, keyed by (dplus triple non-repetitive, psi triple

@@ -42,14 +42,13 @@ def check_order(a: int) -> None:
 
 @dataclass(frozen=True)
 class SequenceTable:
-    """The series c[0..horizon]; the derived columns are computed on demand.
+    """The series c[0], c[1], ... of order a; derived columns are computed on demand.
 
     dminus[n] = n - c[n], dplus[n] = (a-1)*n + c[n], reach[n] = a*n + c[n],
     and csum[n] = c[0] + ... + c[n].
     """
 
     a: int
-    horizon: int
     c: tuple[int, ...]
 
     @cached_property
@@ -123,7 +122,7 @@ def c_series(a: int, horizon: int) -> SequenceTable:
             k += 1
             reach = a * k + c[k]
         c[n] = k
-    return SequenceTable(a, horizon, tuple(c))
+    return SequenceTable(a, tuple(c))
 
 
 def zeck_encode(a: int, n: int) -> tuple[int, ...]:

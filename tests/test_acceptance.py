@@ -104,7 +104,7 @@ def test_06_edge_count_triple_agreement():
             recursive = edge_count_recursive(a, 2000)
             seq = c_series(a, 2000)
             for n in range(1, 2001):
-                g = JacoGraph(a, n, seq)
+                g = JacoGraph(seq, n)
                 direct = edge_count_direct(g)
                 assert direct == recursive[n - 1], f"a={a} n={n}"
                 assert direct == edge_count_theorem(g), f"a={a} n={n}"

@@ -167,10 +167,10 @@ class TestVerifySuite:
                 id="psi_one_at_fib",
             ),
             pytest.param(
-                (analysis.graph_mod, "prefix_jaconians"),
-                lambda real: lambda seq, n: (
-                    dataclasses.replace(info, delta=info.delta + 1) if m == 20 else info
-                    for m, info in enumerate(real(seq, n), 1)
+                (analysis.graph_mod, "_jaconian_at"),
+                lambda real: lambda seq, m: (
+                    dataclasses.replace(real(seq, m), delta=real(seq, m).delta + 1)
+                    if m == 20 else real(seq, m)
                 ),
                 (1, 1, 40),
                 {
@@ -323,29 +323,24 @@ def test_single_graph_routes_make_no_degree_scan(monkeypatch):
     assert calls["degree_profile"] == 1  # the counter does see a scan
 
 
-def test_edge_triple_claim_builds_one_table_and_one_sweep(monkeypatch):
+def test_edge_triple_claim_builds_one_table(monkeypatch):
     calls = Counter()
-    real_table, real_sweep = analysis.sequences.c_series, graph.prefix_jaconians
+    real_table = analysis.sequences.c_series
 
     def table(a, n):
         calls["c_series"] += 1
         return real_table(a, n)
 
-    def sweep(seq, n):
-        calls["prefix_jaconians"] += 1
-        return real_sweep(seq, n)
-
     monkeypatch.setattr(analysis.sequences, "c_series", table)
-    monkeypatch.setattr(analysis.graph_mod, "prefix_jaconians", sweep)
     assert analysis._claim_edge_triple(2, 300) is None
-    assert calls == {"c_series": 1, "prefix_jaconians": 1}
+    assert calls == {"c_series": 1}
     edge_count_recursive(2, 300)
-    assert calls == {"c_series": 2, "prefix_jaconians": 2}  # the counters see it
+    assert calls == {"c_series": 2}  # the counter sees it
 
 
 def _flat_table(a, horizon):
     # a degenerate table: c = 0 everywhere, so every v_j has in-window [0, j-1]
-    return analysis.sequences.SequenceTable(a, horizon, tuple([0] * (horizon + 1)))
+    return analysis.sequences.SequenceTable(a, tuple([0] * (horizon + 1)))
 
 
 def test_milestone_reports_violation_when_search_exhausts(monkeypatch):
@@ -373,7 +368,7 @@ def test_order_one_outdegree_claim_does_not_share_a_fault_with_the_closed_form(m
         c = list(real_table(a, horizon).c)
         if a == 1 and horizon >= 17:
             c[17] += 1
-        return analysis.sequences.SequenceTable(a, horizon, tuple(c))
+        return analysis.sequences.SequenceTable(a, tuple(c))
 
     monkeypatch.setattr(analysis.sequences, "c_series", table)
     monkeypatch.setattr(analysis.sequences, "c_closed",

@@ -2,18 +2,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jaco.analysis import edge_count_theorem
+from jaco.export import to_csv, to_dot, to_json
 from jaco.graph import (
     JacoGraph,
     arcs,
     build,
     degree_profile,
+    edge_count_direct,
     hope_is_complete,
     in_neighbors,
     jaconian,
     out_neighbors,
-    prefix_jaconians,
 )
 from jaco.oracles import jaconian_scan, naive_build
+from jaco.paths import distances, path_table
 from jaco.sequences import SequenceTable, c_series
 
 
@@ -143,13 +146,6 @@ class TestJaconian:
             assert delta in (prev, prev + 1)
             prev = delta
 
-    @pytest.mark.parametrize("a", [1, 2, 3, 4, 5, 6])
-    def test_matches_degree_scan(self, a):
-        seq = c_series(a, 600)
-        for n in range(1, 601):
-            g = JacoGraph(a, n, seq)
-            assert jaconian(g) == jaconian_scan(g), f"a={a} n={n}"
-
     @pytest.mark.parametrize("a", [1, 2, 3, 5])
     def test_complete_prefix_regime(self, a):
         for m in range(1, a + 2):
@@ -159,25 +155,44 @@ class TestJaconian:
 
 
 class TestPrefixJaconians:
+    """The closed-form Jaconian of every prefix J_m(a) of one table against
+    the per-vertex degree scan."""
+
     @pytest.mark.parametrize("a", [1, 2, 3, 4, 5, 6])
     def test_matches_full_scan_at_every_prefix(self, a):
         seq = c_series(a, 2000)
-        for m, info in enumerate(prefix_jaconians(seq, 2000), 1):
-            assert info == jaconian_scan(JacoGraph(a, m, seq)), f"a={a} m={m}"
-        assert m == 2000
+        for m in range(1, 2001):
+            g = JacoGraph(seq, m)
+            assert jaconian(g) == jaconian_scan(g), f"a={a} m={m}"
 
     @given(a=st.integers(1, 40), n=st.integers(1, 3000), data=st.data())
     @settings(max_examples=100, deadline=None)
     def test_matches_full_scan_property(self, a, n, data):
         seq = c_series(a, n)
         probes = {n, data.draw(st.integers(1, n)), data.draw(st.integers(1, min(n, 3 * a)))}
-        for m, info in enumerate(prefix_jaconians(seq, n), 1):
-            if m in probes:
-                assert info == jaconian_scan(JacoGraph(a, m, seq)), f"a={a} m={m}"
+        for m in probes:
+            g = JacoGraph(seq, m)
+            assert jaconian(g) == jaconian_scan(g), f"a={a} m={m}"
 
-    def test_beyond_horizon_rejected(self):
-        with pytest.raises(ValueError):
-            next(prefix_jaconians(c_series(2, 10), 11))
+
+class TestPrefixView:
+    """A graph is the prefix m of a table that may run further: every
+    result must read the cut at g.n, never the table's length."""
+
+    @pytest.mark.parametrize("a", [1, 2, 3, 4])
+    def test_matches_a_fresh_build(self, a):
+        size = 200
+        seq = c_series(a, size)
+        for m in range(1, size + 1):
+            view, fresh = JacoGraph(seq, m), build(a, m)
+            for fn in (degree_profile, jaconian, edge_count_direct, edge_count_theorem,
+                       hope_is_complete, distances, path_table):
+                assert fn(view) == fn(fresh), f"{fn.__name__} a={a} m={m}"
+            assert list(arcs(view)) == list(arcs(fresh)), f"arcs a={a} m={m}"
+        for m in (1, 2, a + 1, size // 2, size):
+            view, fresh = JacoGraph(seq, m), build(a, m)
+            for render in (to_dot, to_json, to_csv):
+                assert render(view) == render(fresh), f"{render.__name__} a={a} m={m}"
 
 
 class TestHope:
@@ -196,6 +211,6 @@ class TestHope:
         # a hand-made order-2 table with c = 1 throughout: v_2 reaches only
         # v_5, so the arc v_2 -> v_6 is missing; v_3 already reaches v_7.
         # The closed form puts the Hope range at 2..6
-        g = JacoGraph(2, 6, SequenceTable(2, 6, (0,) + (1,) * 6))
+        g = JacoGraph(SequenceTable(2, (0,) + (1,) * 6), 6)
         assert jaconian(g).hope_range == range(2, 7)
         assert hope_is_complete(g) == (False, (2, 6))

@@ -151,7 +151,7 @@ class TestDistanceRoots:
         seq = c_series(a, 3000)
         for n in sorted(set(range(1, 501)) | near | {3000}):
             want = tuple(sorted({n, *(b for b in liz if b < n)}))
-            assert distance_roots(JacoGraph(a, n, seq)) == want, f"a={a} n={n}"
+            assert distance_roots(JacoGraph(seq, n)) == want, f"a={a} n={n}"
 
     def test_follows_the_distances(self, monkeypatch):
         # J_10(1) has levels 3 = {v_4, v_5} and 4 = {v_6, v_7, v_8}; moving
@@ -225,7 +225,7 @@ class TestSyntheticConjectureReport:
         # dplus only
         dplus = (0, 0, 0, 0, 0, 0, 0, 2, 2, 1, 2, 2, 1, 2)
         psi = (0, 0, 0, 0, 0, 0, 3, 3, 2, 1, 2, 1, 2, 2)
-        report = ConjectureReport(13, dplus, psi)
+        report = ConjectureReport(dplus, psi)
         rows, violations, text = reference_conjecture(13, dplus, psi)
         assert report.rows == rows
         assert [row[3:] for row in rows] == [
@@ -245,7 +245,7 @@ class TestSyntheticConjectureReport:
         n_max = rng.randrange(9, 300)
         dplus = tuple(rng.randrange(3) for _ in range(n_max + 1))
         psi = tuple(rng.randrange(3) * 10**rng.randrange(30) for _ in range(n_max + 1))
-        report = ConjectureReport(n_max, dplus, psi)
+        report = ConjectureReport(dplus, psi)
         rows, violations, text = reference_conjecture(n_max, dplus, psi)
         assert report.rows == rows
         assert report.violations == violations
