@@ -1,8 +1,11 @@
 """Edge counts by the Hope decomposition and the prime-vertex recurrence
 (the direct count lives in graph), the maximum-degree milestone search,
-and the verification harness.  Everything here that walks the prefixes
-J_1..J_n builds one sequence table and reads each prefix's maximum degree
-from the closed form graph._jaconian_at(seq, m), not from a degree scan.
+and the verification harness.  The prefix walkers (the milestone search,
+the recursive edge count and two claims) each build one sequence table and
+read each prefix's maximum degree from the closed form
+graph._jaconian_at(seq, m), not from a degree scan.  edge_count_recursive
+holds the one copy of the prime-vertex recurrence, and the edge-count
+claim reads it.
 
 The harness turns every structural claim the library relies on into a
 deterministic pass/fail check over a parameter grid, reporting the first
@@ -33,7 +36,6 @@ from . import paths as paths_mod
 from . import sequences
 from .graph import (
     JacoGraph,
-    JaconianInfo,
     arcs,
     build,
     degree_profile,
@@ -89,20 +91,15 @@ def edge_count_recursive(a: int, n_max: int) -> list[int]:
     already saturated (degree a*i) and n - i + 1 arcs otherwise.
     Returned list is 0-indexed: result[n - 1] is the total for J_n(a).
     """
-    check_order(a)
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     seq = sequences.c_series(a, n_max)
     eps = [0]
     for n in range(1, n_max):
-        eps.append(eps[-1] + _arcs_added(a, n, graph_mod._jaconian_at(seq, n)))
+        info = graph_mod._jaconian_at(seq, n)
+        i = info.prime_index
+        eps.append(eps[-1] + n - i + (info.delta != a * i))
     return eps
-
-
-def _arcs_added(a: int, n: int, info: JaconianInfo) -> int:
-    """Arcs gained from J_n(a) to J_{n+1}(a), given jaconian(J_n(a))."""
-    i = info.prime_index
-    return n - i + (info.delta != a * i)
 
 
 def complete_prefix_count(a: int, m: int) -> int:
@@ -117,7 +114,6 @@ def milestone_delta(a: int) -> int:
     """n*, the smallest n where the maximum degree reaches a(a+1) and is
     attained by v_{a+1} alone.  The search is bounded at twice the predicted
     value a(a+1) + 1 and failing to find it within the bound is an error."""
-    check_order(a)
     target_delta = a * (a + 1)
     bound = 2 * (target_delta + 1)
     seq = sequences.c_series(a, bound)
@@ -341,18 +337,15 @@ def _claim_hope_complete(a, n):
 
 
 def _claim_edge_triple(a, n):
-    # rec runs the recurrence of edge_count_recursive alongside the two
-    # closed forms; the last prefix is also checked against the literal
-    # out-degree sum
+    # the recurrence is checked against the two closed forms at every
+    # prefix, and the last prefix also against the literal out-degree sum
     seq = sequences.c_series(a, n)
-    rec = 0
-    for m in range(1, n + 1):
+    for m, rec in enumerate(edge_count_recursive(a, n), 1):
         g = JacoGraph(seq, m)
         direct = edge_count_direct(g)
         thm = edge_count_theorem(g)
         if not direct == thm == rec:
             return f"a={a} n={m} direct={direct} theorem={thm} recursive={rec}"
-        rec += _arcs_added(a, m, graph_mod._jaconian_at(seq, m))
     literal = oracles.out_degree_sum(g, n)
     if direct != literal:
         return f"a={a} n={n} direct={direct} literal={literal}"

@@ -7,7 +7,7 @@ expansion of one value), verify (claim suite), paths (distances from v_1;
 Each subcommand computes its text and whether its checks passed; main
 alone writes the text, to stdout or to --out, and sets the exit status:
 0 success, 1 claim/conjecture violation, 2 usage or validation error,
-3 I/O failure (3 outranks 1).
+3 I/O failure on stdout or --out (3 outranks 1).
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import argparse
 import contextlib
 import functools
 import os
+import stat
 import sys
 import tempfile
 
@@ -88,15 +89,30 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(text: str, out: str | None) -> int:
-    if out is None:
-        _write_text(sys.stdout, text)
-        return EXIT_OK
     try:
-        _write_atomic(text, out)
+        if out is None:
+            _write_text(sys.stdout, text)
+            sys.stdout.flush()
+        else:
+            _write_atomic(text, out)
     except OSError as exc:
+        if out is None:
+            out = "standard output"
+            _drop_stdout()
         print(f"jaco: cannot write {out}: {exc}", file=sys.stderr)
         return EXIT_IO
     return EXIT_OK
+
+
+def _drop_stdout() -> None:
+    # the interpreter flushes stdout once more at exit, which would fail
+    # again on the unwritten rest; point its descriptor at os.devnull.  An
+    # in-process stream with no descriptor has no such last flush to fear
+    with contextlib.suppress(AttributeError, OSError, ValueError):
+        fd = sys.stdout.fileno()
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, fd)
+        os.close(null)
 
 
 def _write_atomic(text: str, out: str) -> None:
@@ -108,17 +124,23 @@ def _write_atomic(text: str, out: str) -> None:
     (a device, a pipe) is written in place.
     """
     target = os.path.realpath(out) if os.path.islink(out) else out
-    if os.path.exists(target) and not os.path.isfile(target):
+    try:
+        mode = os.stat(target).st_mode
+    except OSError:
+        # a new regular file: mkstemp creates it 0600, so give it the mode
+        # open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = stat.S_IFREG | 0o666 & ~umask
+    if not stat.S_ISREG(mode):
         with open(target, "w", encoding="utf-8", newline="") as handle:
             _write_text(handle, text)
         return
-    # mkstemp creates the file 0600; give it the mode open() would
-    umask = os.umask(0)
-    os.umask(umask)
     fd, tmp = tempfile.mkstemp(prefix=".jaco-", suffix=".tmp", dir=os.path.dirname(target))
     try:
         with open(fd, "w", encoding="utf-8", newline="") as handle:
-            os.chmod(fd, 0o666 & ~umask)
+            # an existing target keeps its permission bits
+            os.chmod(fd, mode & 0o777)
             _write_text(handle, text)
         os.replace(tmp, target)
     except BaseException:

@@ -2,7 +2,8 @@
 
 Arcs are never stored: both neighborhoods of a vertex are contiguous
 index intervals, so a graph is the prefix n of an order-a sequence table,
-which may run past v_n.  The out-neighbors of v_i are
+which may run past v_n but must reach it (JacoGraph refuses a view outside
+its table when it is built).  The out-neighbors of v_i are
 [i+1, min(a*i + c[i], n)] and the in-neighbors of v_j are [c[j], j-1].
 Vertex indexing is 1-based throughout.
 
@@ -17,15 +18,19 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Iterator
 
-from .sequences import SequenceTable, c_series, check_order
+from .sequences import SequenceTable, c_series
 
 
 @dataclass(frozen=True)
 class JacoGraph:
-    """A finite Jaco graph on vertices v_1..v_n, of the order of its table."""
+    """A finite Jaco graph on vertices v_1..v_n: a prefix of its table, of its order."""
 
     seq: SequenceTable
     n: int
+
+    def __post_init__(self) -> None:
+        if not 1 <= self.n < len(self.seq.c):
+            raise ValueError(f"vertex count n must be in 1..{len(self.seq.c) - 1}, got {self.n}")
 
     @property
     def a(self) -> int:
@@ -65,9 +70,6 @@ class JaconianInfo:
 
 def build(a: int, n: int) -> JacoGraph:
     """Construct J_n(a) in O(n): the sequence table is the whole graph."""
-    check_order(a)
-    if n < 1:
-        raise ValueError(f"vertex count n must be >= 1, got {n}")
     return JacoGraph(c_series(a, n), n)
 
 

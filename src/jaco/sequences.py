@@ -209,7 +209,6 @@ def tau(digits: tuple[int, ...]) -> int:
 
 def c_closed(a: int, n: int) -> int:
     """Closed form for c[n]: shift every digit's basis index down, add tau."""
-    check_order(a)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     digits = zeck_encode(a, n)

@@ -251,6 +251,18 @@ class TestVerifySuite:
                 {"graph.arc_relation_matches_naive_builder": "a=1 arc=(39, 40)"},
                 id="arcs_loses_last",
             ),
+            pytest.param(
+                (analysis, "edge_count_recursive"),
+                lambda real: lambda a, n: [e + (i == 20) for i, e in enumerate(real(a, n))],
+                (1, 1, 40),
+                # the triple claim reads the public recurrence, not a copy of it
+                {
+                    "analysis.edge_count_triple_agreement": (
+                        "a=1 n=21 direct=86 theorem=86 recursive=87"
+                    ),
+                },
+                id="edge_count_recursive",
+            ),
         ],
     )
     def test_injected_fault_is_pinpointed(self, monkeypatch, target, warp, grid, failures):
@@ -321,21 +333,6 @@ def test_single_graph_routes_make_no_degree_scan(monkeypatch):
     assert calls["degree_profile"] == 0
     analysis._claim_degree_step(2, 50)
     assert calls["degree_profile"] == 1  # the counter does see a scan
-
-
-def test_edge_triple_claim_builds_one_table(monkeypatch):
-    calls = Counter()
-    real_table = analysis.sequences.c_series
-
-    def table(a, n):
-        calls["c_series"] += 1
-        return real_table(a, n)
-
-    monkeypatch.setattr(analysis.sequences, "c_series", table)
-    assert analysis._claim_edge_triple(2, 300) is None
-    assert calls == {"c_series": 1}
-    edge_count_recursive(2, 300)
-    assert calls == {"c_series": 2}  # the counter sees it
 
 
 def _flat_table(a, horizon):

@@ -1,7 +1,10 @@
 import errno
 import hashlib
 import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -11,6 +14,8 @@ from jaco import analysis, cli, oracles, sequences
 from jaco.cli import main
 from jaco.graph import build
 from jaco.paths import psi_oracle
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -103,6 +108,20 @@ class TestBuild:
             os.umask(old)
         assert code == 0
         assert target.stat().st_mode & 0o777 == 0o644
+
+    def test_existing_file_keeps_its_mode(self, capsys, tmp_path):
+        target = tmp_path / "graph.csv"
+        target.write_text("old\n")
+        target.chmod(0o600)
+        old = os.umask(0o022)
+        try:
+            code, _, _ = run(capsys, "build", "--a", "1", "--n", "3", "--format", "csv",
+                             "--out", str(target))
+        finally:
+            os.umask(old)
+        assert code == 0
+        assert target.read_text() == "tail,head\n1,2\n2,3\n"
+        assert target.stat().st_mode & 0o777 == 0o600
 
     def test_symlink_target_is_followed(self, capsys, tmp_path):
         real = tmp_path / "real.csv"
@@ -301,6 +320,42 @@ class TestExitStatus:
                            "--check-closed-form", "--out", str(tmp_path / "no" / "x.tsv"))
         assert code == 3
         assert "cannot write" in err
+
+    def test_stdout_write_failure_exits_3(self, capsys, monkeypatch):
+        class FullStdout:
+            # an in-process stream with no descriptor, failing as a full disk
+            def write(self, text):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(cli.sys, "stdout", FullStdout())
+        code, _, err = run(capsys, "milestone", "--a", "2")
+        assert code == 3
+        assert err.startswith("jaco: cannot write standard output") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, lines", [
+        # a long report whose reader takes one line, as `| head -1` does
+        ("seq --a 1 --horizon 300000", 1),
+        # a short one whose reader is gone before it is written: the text
+        # sits in the stream's buffer for the interpreter's last flush
+        ("milestone --a 2", 0),
+    ])
+    def test_closed_pipe_exits_3_without_traceback(self, argv, lines):
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        env.pop("PYTHONUNBUFFERED", None)  # stdout buffered as by default
+        with subprocess.Popen([sys.executable, "-m", "jaco.cli", *argv.split()],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=env) as proc:
+            for _ in range(lines):
+                proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            code = proc.wait(timeout=60)
+        assert code == 3
+        assert err.startswith("jaco: cannot write standard output")
+        assert "Traceback" not in err and "Exception ignored" not in err
 
     def test_theorem_violation_exits_1(self, capsys, monkeypatch):
         def flat_table(a, horizon):

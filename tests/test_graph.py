@@ -194,6 +194,14 @@ class TestPrefixView:
             for render in (to_dot, to_json, to_csv):
                 assert render(view) == render(fresh), f"{render.__name__} a={a} m={m}"
 
+    @pytest.mark.parametrize("a, horizon, m", [(2, 10, 11), (1, 5, 30), (2, 10, 0)])
+    def test_view_outside_its_table_is_refused(self, a, horizon, m):
+        # a view must lie within its table; it is refused when it is built,
+        # not when a query first reads past the table
+        seq = c_series(a, horizon)
+        with pytest.raises(ValueError):
+            JacoGraph(seq, m)
+
 
 class TestHope:
     def test_examples(self):
