@@ -410,7 +410,7 @@ def _claim_uniqueness_biconditional(a, n):
 
 
 def _claim_psi_one_at_fib(a, n):
-    psi = paths_mod.psi_oracle(build(a, n))
+    psi = paths_mod.path_table(build(a, n)).psi
     fibs = sequences.recurrence_terms(a, 0, 1, at_least=n)  # 0, 1, 1, 2, 3, 5, ...
     for f in fibs[2:]:
         if f <= n and psi[f] != 1:

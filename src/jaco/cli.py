@@ -41,10 +41,20 @@ def _at_least(low: int, name: str):
     return parse
 
 
+class _Parser(argparse.ArgumentParser):
+    # argparse writes help itself and drops an OSError, so --help that
+    # cannot be written would exit 0 unseen, or 120 at the last flush
+    def print_help(self, file=None):
+        if file is not None:
+            super().print_help(file)
+        elif _emit(self.format_help(), None):
+            self.exit(EXIT_IO)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     # built once per process: parse_args keeps no state between calls
-    parser = argparse.ArgumentParser(prog="jaco", description=__doc__)
+    parser = _Parser(prog="jaco", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build", help="construct a graph and export it")

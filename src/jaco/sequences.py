@@ -11,7 +11,11 @@ The same series has a closed form over the generalized Lucas basis
 U(a, -1): expand n in the unique constrained digit expansion over that
 basis, shift every basis index down by one and add a 0/1 correction term.
 A digit expansion is a plain tuple of ints, alpha_1 first; the order a
-it is read in travels beside it as an argument.
+it is read in travels beside it as an argument.  The greedy encoder
+subtracts a fitting term once and divides only when the remainder still
+fits it, so order-1 digits cost no division; decoding and the closed
+form are one C-iterator dot product of the nonzero digits with their
+basis terms.
 All arithmetic is exact (Python integers widen as needed).  Every
 sequence obeying x[i+1] = a*x[i] + x[i-1] (the Lucas basis, the Liz
 numbers, the Fibonacci numbers) comes from one cached builder,
@@ -23,7 +27,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, compress, islice
+from operator import mul
 
 
 class ZeckDigitError(ValueError):
@@ -131,10 +136,16 @@ def zeck_encode(a: int, n: int) -> tuple[int, ...]:
     Returns the digits of n = sum(alpha_i * U_i), alpha_1 first, with no
     trailing zero; the expansion of 0 is the empty tuple.  Valid digit
     strings satisfy alpha_1 < a, alpha_i <= a, and alpha_i = a only when
-    alpha_{i-1} = 0.  Working from the largest basis term down, take the largest admissible
-    multiple of each term.  The remainder after position 2 is < U_2 = a
-    and becomes alpha_1, so alpha_1 < a holds by construction, as does the
-    rule that a full digit (alpha_i = a) is followed below by a zero.
+    alpha_{i-1} = 0.  Working from the largest basis term down, take the
+    largest admissible multiple of each term.  The remainder after
+    position 2 is < U_2 = a and becomes alpha_1, so alpha_1 < a holds by
+    construction, as does the rule that a full digit (alpha_i = a) is
+    followed below by a zero.
+
+    A term that fits is subtracted once; only a remainder still >= that
+    term pays for a divmod, so at a = 1, where every digit is 0 or 1, no
+    digit divides.  A digit is never found by repeated subtraction, since
+    it can be as large as a.
     """
     check_order(a)
     if n < 0:
@@ -145,15 +156,20 @@ def zeck_encode(a: int, n: int) -> tuple[int, ...]:
     m = bisect_right(terms, n) - 1
     if m < 2:
         m = 2
-    digits = [0] * m
+    digits = []  # alpha_m first
     r = n
-    for i in range(m, 1, -1):
-        u = terms[i]
-        if u <= r:
-            q = r // u
-            digits[i - 1] = q
-            r -= q * u
-    digits[0] = r
+    for u in terms[m:1:-1]:
+        if u > r:
+            digits.append(0)
+        else:
+            r -= u
+            if u > r:
+                digits.append(1)
+            else:
+                q, r = divmod(r, u)
+                digits.append(q + 1)
+    digits.append(r)
+    digits.reverse()
     while digits and digits[-1] == 0:
         digits.pop()
     return tuple(digits)
@@ -182,7 +198,12 @@ def zeck_decode(a: int, digits: tuple[int, ...]) -> int:
     if not digits:
         return 0
     terms = recurrence_terms(a, 0, 1, count=len(digits) + 1)
-    return sum(alpha * terms[i + 1] for i, alpha in enumerate(digits))
+    return _dot(digits, islice(terms, 1, None))  # alpha_i * U_i
+
+
+def _dot(digits: tuple[int, ...], terms) -> int:
+    """sum(alpha * u) over the nonzero digits and the terms beside them."""
+    return sum(map(mul, compress(digits, digits), compress(terms, digits)))
 
 
 def tau(digits: tuple[int, ...]) -> int:
@@ -213,8 +234,7 @@ def c_closed(a: int, n: int) -> int:
         raise ValueError(f"n must be >= 1, got {n}")
     digits = zeck_encode(a, n)
     terms = recurrence_terms(a, 0, 1, at_least=n)
-    # digit alpha_{i+1} (0-based index i) contributes alpha * U_i
-    return sum(alpha * terms[i] for i, alpha in enumerate(digits) if alpha) + tau(digits)
+    return _dot(digits, terms) + tau(digits)  # alpha_i * U_{i-1}
 
 
 def bettina_dplus(n: int) -> int:

@@ -162,6 +162,19 @@ class TestVerifySuite:
                 {
                     "paths.psi_recursion_matches_dp": "j=8 recursion=1 dp=2",
                     "paths.psi_fast_matches_dp": "a=1 j=8",
+                },
+                id="psi_oracle",
+            ),
+            pytest.param(
+                (analysis.paths_mod, "path_table"),
+                lambda real: lambda g: dataclasses.replace(real(g), psi=tuple(
+                    p + (g.n == 40 and j == 8) for j, p in enumerate(real(g).psi)
+                )),
+                (1, 1, 40),
+                {
+                    # psi[8] = 2 at the Fibonacci index 8, so v_8 has two paths
+                    "paths.psi_fast_matches_dp": "a=1 j=8",
+                    "paths.uniqueness_biconditional": "j=8 unique=False fib=True",
                     "paths.psi_one_at_fibonacci": "f=8 psi=2",
                 },
                 id="psi_one_at_fib",

@@ -357,6 +357,23 @@ class TestExitStatus:
         assert err.startswith("jaco: cannot write standard output")
         assert "Traceback" not in err and "Exception ignored" not in err
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", ["--help", "milestone --help"])
+    def test_help_on_a_full_disk_exits_3(self, argv, unbuffered):
+        # argparse prints help itself: buffered, the last flush used to fail
+        # (exit 120); unbuffered, it dropped the OSError and exited 0
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "jaco.cli", *argv.split()],
+                                  stdout=full, stderr=subprocess.PIPE, env=env, timeout=60)
+        err = proc.stderr.decode()
+        assert proc.returncode == 3
+        assert err.startswith("jaco: cannot write standard output") and err.count("\n") == 1
+
     def test_theorem_violation_exits_1(self, capsys, monkeypatch):
         def flat_table(a, horizon):
             return sequences.SequenceTable(a, tuple([0] * (horizon + 1)))

@@ -1,3 +1,5 @@
+import time
+from itertools import product
 from math import isqrt
 
 import pytest
@@ -14,6 +16,7 @@ from jaco.sequences import (
     liz_terms,
     lucas_terms,
     tau,
+    validate_digits,
     zeck_decode,
     zeck_encode,
 )
@@ -236,6 +239,61 @@ class TestOrderOneBeatty:
     @given(st.integers(min_value=1, max_value=10**100 - 1))
     def test_closed_form_and_bettina_match_up_to_a_googol(self, n):
         assert c_closed(1, n) == bettina_dplus(n) == golden_beatty(n)
+
+
+# orders 1..8 and one order so large that a digit can be ~10**9, with
+# values up to 10**120
+_ORDERS = st.integers(1, 8) | st.just(10**9)
+_VALUES = st.integers(0, 10**120)
+
+
+def _error_of(call):
+    try:
+        call()
+    except ZeckDigitError as exc:
+        return type(exc), exc.index, str(exc)
+    return None
+
+
+class TestDigitKernelProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(a=_ORDERS, n=_VALUES)
+    def test_encoding_is_valid_and_round_trips(self, a, n):
+        digits = zeck_encode(a, n)
+        validate_digits(a, digits)
+        assert zeck_decode(a, digits) == n
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 10**120))
+    def test_order_one_closed_form_is_beatty(self, n):
+        assert c_closed(1, n) == (isqrt(5 * (n + 1) ** 2) - n - 1) // 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=st.integers(2, 8) | st.just(10**9), n=st.integers(1, 10**120))
+    def test_closed_form_is_the_least_reaching_k(self, a, n):
+        # c(n) is the least k with a*k + c(k) >= n, and c(0) = 0
+        k = c_closed(a, n)
+        c_prev = c_closed(a, k - 1) if k > 1 else 0
+        assert a * k + c_closed(a, k) >= n > a * (k - 1) + c_prev
+
+    def test_huge_digits_take_one_step_each(self):
+        # a digit can be as large as a: finding it by repeated subtraction
+        # would take ~10**9 steps here
+        start = time.perf_counter()
+        digits = zeck_encode(10**9, 10**40 + 7)
+        assert time.perf_counter() - start < 0.5
+        assert zeck_decode(10**9, digits) == 10**40 + 7
+
+    @pytest.mark.parametrize("a", [1, 2, 3])
+    def test_decode_raises_exactly_where_validation_does(self, a):
+        terms = lucas_terms(a, 6)
+        for length in range(6):
+            for digits in product(range(-1, a + 2), repeat=length):
+                error = _error_of(lambda: validate_digits(a, digits))
+                assert _error_of(lambda: zeck_decode(a, digits)) == error, digits
+                if error is None:
+                    want = sum(alpha * terms[i + 1] for i, alpha in enumerate(digits))
+                    assert zeck_decode(a, digits) == want, digits
 
 
 class TestBasisCacheIsolation:
