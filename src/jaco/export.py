@@ -14,6 +14,7 @@ in memory before it is returned.
 from __future__ import annotations
 
 import json
+from itertools import islice
 
 from .graph import JacoGraph, _last_heads, degree_profile, jaconian
 from .sequences import SequenceTable
@@ -71,16 +72,24 @@ def to_csv(g: JacoGraph) -> str:
     return "tail,head\n" + _arc_text(g, "%d,", "\n")
 
 
+_SEQ_BLOCK = 2048  # rows per join in seq_dump
+
+
 def seq_dump(t: SequenceTable) -> str:
-    """Tab-separated sequence table, one row per n of the table, from 0."""
+    """Tab-separated sequence table, one row per n of the table, from 0.
+
+    The rows are joined _SEQ_BLOCK at a time, so only one block of row
+    strings is alive at once besides the joined blocks.
+    """
     a = t.a
-    lines = ["n\tc\td_minus\td_plus\treach"]
-    lines.extend(
-        f"{n}\t{cn}\t{n - cn}\t{(a - 1) * n + cn}\t{a * n + cn}"
+    rows = (
+        f"{n}\t{cn}\t{n - cn}\t{(a - 1) * n + cn}\t{a * n + cn}\n"
         for n, cn in enumerate(t.c)
     )
-    lines.append("")
-    return "\n".join(lines)
+    blocks = ["n\tc\td_minus\td_plus\treach\n"]
+    for _ in range(0, len(t.c), _SEQ_BLOCK):
+        blocks.append("".join(islice(rows, _SEQ_BLOCK)))
+    return "".join(blocks)
 
 
 def render(g: JacoGraph, fmt: str) -> str:

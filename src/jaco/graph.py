@@ -120,20 +120,46 @@ def degree_profile(g: JacoGraph) -> DegreeProfile:
     return DegreeProfile(d_in, d_out, d_tot)
 
 
+def _summatory(c, a: int, m: int) -> int:
+    """S(m) = c[0] + ... + c[m] of the order-a series c, in O(log m).
+
+    By the definition of c, c[i] >= K exactly when i > a*(K-1) + c[K-1].
+    With k = c[m], each K = 1..k has m - a*(K-1) - c[K-1] such i in 1..m,
+    and summing these counts gives
+
+        S(m) = k*m - a*k(k-1)/2 - S(k-1),   S(0) = 0.
+
+    Each step takes m to c[m] - 1, below m/phi, and reads c at one index.
+    The terms alternate in sign, so the loop takes two steps per turn, and
+    it sums each term doubled, halving once at the end.
+    """
+    twice = 0
+    while m > 0:
+        k = c[m]
+        twice += k * (2 * m - a * (k - 1))
+        m = k - 1
+        if m == 0:
+            break
+        k = c[m]
+        twice -= k * (2 * m - a * (k - 1))
+        m = k - 1
+    return twice // 2
+
+
 def _out_arcs(g: JacoGraph, k: int) -> int:
     """Arcs leaving v_1..v_k: the sum of min(a*i + c[i], n) - i over i <= k.
 
-    O(1) from the prefix sum of c: by the cut at v_n, the first
-    j = min(k, c[n] - 1) reaches sum to a*j(j+1)/2 + csum[j], and each of
+    O(log n) from the summatory c: by the cut at v_n, the first
+    j = min(k, c[n] - 1) reaches sum to a*j(j+1)/2 + S(j), and each of
     the k - j later ones is n.
     """
-    a, n = g.a, g.n
-    j = min(k, g.seq.c[n] - 1)
-    return a * j * (j + 1) // 2 + g.seq.csum[j] + (k - j) * n - k * (k + 1) // 2
+    a, n, c = g.a, g.n, g.seq.c
+    j = min(k, c[n] - 1)
+    return a * j * (j + 1) // 2 + _summatory(c, a, j) + (k - j) * n - k * (k + 1) // 2
 
 
 def edge_count_direct(g: JacoGraph) -> int:
-    """Ground truth: sum of finite out-degrees, in O(1) per graph."""
+    """Ground truth: sum of finite out-degrees, in O(log n) per graph."""
     return _out_arcs(g, g.n)
 
 

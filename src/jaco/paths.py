@@ -7,11 +7,11 @@ non-decreasing, the vertices at one distance form a run, a level, and
 each level's end follows from the previous one's end e alone, as
 min(a*e + c[e], n).  distances and path_table walk these levels, about
 log n of them, and do the per-vertex work of each level in C iterators:
-a run of one repeated distance, and one map of prefix-sum differences
-for the path counts.  Path counts have one fast route, path_table, which
-is linear at every order; psi_oracle, the standard DAG dynamic program
-over in-neighbor windows, is its quadratic reference for the tests and
-the verification suite.  At order 1, path uniqueness is compared with
+a run of one repeated distance, and one map into the previous level's
+suffix sums for the path counts.  Path counts have one fast route,
+path_table, which is linear at every order; psi_oracle, the standard DAG
+dynamic program over in-neighbor windows, is its quadratic reference for
+the tests and the verification suite.  At order 1, path uniqueness is compared with
 the "out-degree is a Fibonacci number" criterion.  Out-degrees here are
 always the infinite-graph out-degrees dplus[j], which at order 1 equal
 c[j]; the finite graph would give the last vertex out-degree 0 and
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, islice, repeat
 from operator import and_, ne, sub
 from typing import Iterator
 
@@ -149,21 +149,25 @@ def path_table(g: JacoGraph) -> PathTable:
     """Distances plus path counts for any order in O(n), one level at a time.
 
     The in-neighbors of v_j one hop closer to v_1 are exactly [c[j], s-1],
-    where s is the first vertex of v_j's level.  With the prefix sums
-    T[i] = psi[1] + ... + psi[i-1], psi[j] = T[s] - T[c[j]], so a whole
-    level is one map over its slice of c, and T grows by one accumulate.
+    where s is the first vertex of v_j's level, and all of them lie in the
+    level before.  Holding that level's suffix sums in R, so that at the
+    negative index i - s R holds psi[i] + ... + psi[s-1], psi[j] is
+    R[c[j] - s]: a whole level is one map over its slice of c, and its
+    counts are the very int objects R holds.  Each level's R is dropped
+    once the next level has read it, and the last level builds none.
     """
     dist = distances(g)
-    c = g.seq.c
+    c, n = g.seq.c, g.n
     psi = [0, 1]
-    T = [0, 0, 1]  # T[0] unused
+    R = [1]  # the suffix sums of level 0, {v_1}
     levels = _levels(g)
-    next(levels)  # level 0 is {v_1}
+    next(levels)
     for s, e in levels:
-        level = list(map(sub, repeat(T[s]), map(T.__getitem__, c[s : e + 1])))
-        psi += level
-        T += accumulate(level, initial=T.pop())  # yields T[s] first, then T[s+1..e+1]
-    del T  # drop the sums before tuple(psi) copies psi, so the two never meet
+        psi += map(R.__getitem__, map(sub, c[s : e + 1], repeat(s)))
+        if e < n:
+            R = list(accumulate(islice(reversed(psi), e - s + 1)))
+            R.reverse()
+    del R  # drop the sums before tuple(psi) copies psi, so the two never meet
     return PathTable(dist, tuple(psi))
 
 

@@ -4,8 +4,9 @@ The central object is the lowest-in-neighbor series c: c[0] = 0, c[1] = 1
 and, for n >= 2, c[n] is the least k < n with a*k + c[k] >= n.  From it
 follow the in-degree (n - c[n]), the out-degree ((a-1)*n + c[n]) and the
 reach (a*n + c[n]) of every vertex of the infinite order-a graph.  Only c
-is stored; the derived columns (these three and the prefix sum of c) are
-computed on first access.
+is stored; these three derived columns are computed on first access.  The
+running sum of c has no column: graph computes it at one index from c
+alone, in O(log n).
 
 The same series has a closed form over the generalized Lucas basis
 U(a, -1): expand n in the unique constrained digit expansion over that
@@ -27,7 +28,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, compress, islice
+from itertools import compress, islice
 from operator import mul
 
 
@@ -49,8 +50,7 @@ def check_order(a: int) -> None:
 class SequenceTable:
     """The series c[0], c[1], ... of order a; derived columns are computed on demand.
 
-    dminus[n] = n - c[n], dplus[n] = (a-1)*n + c[n], reach[n] = a*n + c[n],
-    and csum[n] = c[0] + ... + c[n].
+    dminus[n] = n - c[n], dplus[n] = (a-1)*n + c[n] and reach[n] = a*n + c[n].
     """
 
     a: int
@@ -67,10 +67,6 @@ class SequenceTable:
     @cached_property
     def reach(self) -> tuple[int, ...]:
         return tuple(self.a * n + cn for n, cn in enumerate(self.c))
-
-    @cached_property
-    def csum(self) -> tuple[int, ...]:
-        return tuple(accumulate(self.c))
 
 
 # Terms of x[i+1] = a*x[i] + x[i-1] per (a, x[0], x[1]), grown on demand.

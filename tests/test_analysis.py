@@ -292,6 +292,28 @@ class TestVerifySuite:
         assert not report.passed
         assert render_report(report).splitlines()[-1] == "OVERALL FAIL"
 
+    def test_quadratic_path_claims_stop_at_their_cap(self, monkeypatch):
+        ids = {
+            "paths.distance_recursion_matches_bfs",
+            "paths.psi_recursion_matches_dp",
+            "paths.psi_fast_matches_dp",
+        }
+        capped = [c for c in analysis._CLAIMS if c.claim_id in ids]
+        assert [c.n_cap for c in capped] == [analysis._PATH_ORACLE_CAP] * 3
+        # the golden reports reach n = 2100 and must keep their bytes
+        assert analysis._PATH_ORACLE_CAP >= 2100
+        # the registry holds the cap's value, so lower it there
+        lowered = tuple(
+            dataclasses.replace(c, n_cap=40) if c.claim_id in ids else c
+            for c in analysis._CLAIMS
+        )
+        monkeypatch.setattr(analysis, "_CLAIMS", lowered)
+        report = verify_suite(1, 1, 41)
+        checked = {c.claim_id: c.checked for c in report.claims}
+        assert all(checked[i].endswith(" n=40") for i in ids), checked
+        assert checked["paths.distance_roots_are_liz_indices"].endswith(" n=41")
+        assert report.passed
+
     def test_rejects_bad_grid(self):
         with pytest.raises(ValueError):
             verify_suite(2, 1, 10)

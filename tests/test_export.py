@@ -1,9 +1,11 @@
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
+from jaco import export
 from jaco.export import seq_dump, to_csv, to_dot, to_json
 from jaco.graph import arcs, build, degree_profile, jaconian
 from jaco.oracles import naive_build
@@ -92,6 +94,30 @@ class TestSeqDump:
 
     def test_horizon_zero(self):
         assert seq_dump(c_series(1, 0)) == "n\tc\td_minus\td_plus\treach\n0\t0\t0\t0\t0\n"
+
+    @pytest.mark.parametrize("a", [1, 3])
+    def test_block_edges(self, a):
+        # tables that end just before, at and just after a block edge
+        block = export._SEQ_BLOCK
+        for horizon in (block - 2, block - 1, block, 2 * block - 1, 2 * block):
+            t = c_series(a, horizon)
+            rows = [
+                f"{n}\t{cn}\t{n - cn}\t{(a - 1) * n + cn}\t{a * n + cn}\n"
+                for n, cn in enumerate(t.c)
+            ]
+            assert seq_dump(t) == "n\tc\td_minus\td_plus\treach\n" + "".join(rows)
+
+    def test_peak_stays_near_the_text(self):
+        # rows are joined in blocks, so no string per row is alive at once
+        t = c_series(2, 200_000)
+        tracemalloc.start()
+        try:
+            text = seq_dump(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text.count("\n") == 200_002
+        assert peak <= 2.5 * len(text), f"peak {peak} text {len(text)}"
 
 
 @pytest.mark.parametrize("a,n", [(1, 8), (2, 7)])

@@ -1,7 +1,11 @@
+import tracemalloc
+from itertools import accumulate
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jaco import graph
 from jaco.analysis import edge_count_theorem
 from jaco.export import to_csv, to_dot, to_json
 from jaco.graph import (
@@ -222,3 +226,31 @@ class TestHope:
         g = JacoGraph(SequenceTable(2, (0,) + (1,) * 6), 6)
         assert jaconian(g).hope_range == range(2, 7)
         assert hope_is_complete(g) == (False, (2, 6))
+
+
+class TestSummatory:
+    @given(a=st.integers(1, 8), m=st.integers(0, 3000))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_running_sum(self, a, m):
+        c = c_series(a, m).c
+        assert graph._summatory(c, a, m) == sum(c), f"a={a} m={m}"
+
+    @pytest.mark.parametrize("a", [1, 2, 3])
+    def test_matches_the_running_sum_at_1e5(self, a):
+        c = c_series(a, 100_000).c
+        sums = list(accumulate(c))
+        for m in (99_998, 99_999, 100_000):
+            assert graph._summatory(c, a, m) == sums[m], f"a={a} m={m}"
+
+    def test_edge_count_stores_no_column(self):
+        # the running sum of c is read at one index, never stored: a
+        # column over 2e5 vertices would take megabytes
+        g = build(1, 200_000)
+        tracemalloc.start()
+        try:
+            count = edge_count_direct(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == edge_count_theorem(g)
+        assert peak < 64 * 1024, f"{peak} bytes"

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -101,6 +102,19 @@ class TestPsiFast:
         t = path_table(build(1, 13))
         assert t.dist == distances(build(1, 13))
         assert t.psi == psi_oracle(build(1, 13))
+
+    def test_peak_stays_near_the_result(self):
+        # each level's sums are dropped once the next level has read them,
+        # so no column of sums over every vertex is alive beside the result
+        g = build(1, 200_000)
+        tracemalloc.start()
+        try:
+            table = path_table(g)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(table.psi) == 200_001
+        assert peak <= 1.75 * retained, f"peak {peak} retained {retained}"
 
 
 class TestUniqueness:
