@@ -2,7 +2,7 @@
 
 Everything here recomputes a quantity straight from its definition with
 no shortcuts, to serve as the second route of every dual check: the
-O(n^2) definition scan for the c series, the per-insertion graph builder
+least-k ascending scan for the c series, the per-insertion graph builder
 (which records ascending in- and out-neighbor lists per vertex, not a
 set of arcs), the per-vertex degree scan for the maximum degree, the
 out-degree sum of the edge count, exhaustive digit-string enumeration,
@@ -23,13 +23,14 @@ from .sequences import check_order, recurrence_terms
 
 
 def c_series_bruteforce(a: int, horizon: int) -> list[int]:
-    """c[n] by literal minimization over every k < n."""
+    """c[n] as the least k < n with a*k + c[k] >= n, found by scanning k
+    upward from 1 and stopping at the first hit."""
     check_order(a)
     c = [0] * (horizon + 1)
     if horizon >= 1:
         c[1] = 1
     for n in range(2, horizon + 1):
-        c[n] = min(k for k in range(1, n) if a * k + c[k] >= n)
+        c[n] = next(k for k in range(1, n) if a * k + c[k] >= n)
     return c
 
 
@@ -37,7 +38,9 @@ def naive_build(a: int, n: int) -> tuple[list[list[int]], list[list[int]]]:
     """Arcs of J_n(a) by inserting vertices one at a time.
 
     When v_j arrives, every v_i with (a+1)*i - d_in(v_i) >= j gains an arc
-    to it; in-degrees of earlier vertices are already final at that point.
+    to it.  The in-degree of v_i is final once v_i has arrived, so that
+    bound is stored per vertex as cap[i] = (a+1)*i - d_in(v_i) on arrival,
+    and each later v_j tests every i < j against it.
     Returns (tails, heads), each indexed 0..n with empty lists at 0:
     tails[j] lists the v_i with an arc to v_j and heads[i] the v_j that v_i
     has an arc to, both ascending, so d_in(v_i) is len(tails[i]).
@@ -45,13 +48,12 @@ def naive_build(a: int, n: int) -> tuple[list[list[int]], list[list[int]]]:
     check_order(a)
     tails: list[list[int]] = [[] for _ in range(n + 1)]
     heads: list[list[int]] = [[] for _ in range(n + 1)]
-    d_in = [0] * (n + 1)
-    for j in range(2, n + 1):
-        for i in range(1, j):
-            if (a + 1) * i - d_in[i] >= j:
-                tails[j].append(i)
-                heads[i].append(j)
-        d_in[j] = len(tails[j])
+    cap = [0] * (n + 1)
+    for j in range(1, n + 1):
+        tails[j] = [i for i in range(1, j) if cap[i] >= j]
+        for i in tails[j]:
+            heads[i].append(j)
+        cap[j] = (a + 1) * j - len(tails[j])
     return tails, heads
 
 

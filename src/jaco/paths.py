@@ -140,8 +140,8 @@ def psi_oracle(g: JacoGraph) -> tuple[int, ...]:
     psi[1] = 1
     c = g.seq.c
     for j in range(2, g.n + 1):
-        d = dist[j]
-        psi[j] = sum(psi[i] for i in range(c[j], j) if dist[i] + 1 == d)
+        prev = dist[j] - 1
+        psi[j] = sum(psi[i] for i in range(c[j], j) if dist[i] == prev)
     return tuple(psi)
 
 

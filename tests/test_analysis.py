@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jaco import analysis, graph
+from jaco import analysis, graph, oracles, sequences
 from jaco.analysis import (
     TheoremViolationError,
     complete_prefix_count,
@@ -276,6 +276,15 @@ class TestVerifySuite:
                 },
                 id="edge_count_recursive",
             ),
+            pytest.param(
+                (analysis.oracles, "c_series_bruteforce"),
+                lambda real: lambda a, n: [
+                    v + (a == 1 and i == 17) for i, v in enumerate(real(a, n))
+                ],
+                (1, 1, 40),
+                {"seq.matches_bruteforce_definition": "a=1 n=17"},
+                id="c_series_bruteforce",
+            ),
         ],
     )
     def test_injected_fault_is_pinpointed(self, monkeypatch, target, warp, grid, failures):
@@ -407,3 +416,26 @@ def test_order_one_outdegree_claim_does_not_share_a_fault_with_the_closed_form(m
                         lambda a, n: real_closed(a, n) + ((a, n) == (1, 17)))
     assert analysis._claim_closed_form(1, 40) is None
     assert analysis._claim_bettina(1, 40) == "n=17"
+
+
+def test_naive_oracles_read_no_fast_route(monkeypatch):
+    # the naive builder and the brute-force c are second routes: they must
+    # give the same values with the table and the graph they check unreachable
+    grid = [(a, n) for a in range(1, 5) for n in (1, 2, 60)]
+
+    def run():
+        return [(oracles.naive_build(a, n), oracles.c_series_bruteforce(a, n)) for a, n in grid]
+
+    before = run()
+
+    def refuse(*args):
+        raise AssertionError("a second route read a fast route")
+
+    for module, names in (
+        (sequences, ("c_series",)),
+        (graph, ("build", "arcs", "_last_heads", "out_neighbors", "in_neighbors")),
+        (oracles, ("out_neighbors", "degree_profile")),
+    ):
+        for name in names:
+            monkeypatch.setattr(module, name, refuse)
+    assert run() == before
