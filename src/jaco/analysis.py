@@ -10,8 +10,12 @@ claim reads it.
 The harness turns every structural claim the library relies on into a
 deterministic pass/fail check over a parameter grid, reporting the first
 counterexample of any failing claim.  Each claim checks one order a up
-to n; a registry holds its id, checked-text tail and caps, and one runner
-applies the caps, walks the grid and stops at the first failing order.
+to n; a registry holds its id, checked-text tail and caps.  One runner
+applies the caps and walks the orders in ascending order, running at each
+order every claim that covers it and has not failed yet, so each claim
+still reports its first failing order.  The quadratic second routes that
+two claims read at one order, the naive builder and the path-count DP,
+are computed once per (a, capped n) and dropped when the order is done.
 
 One deliberate correction: the source material asserts that the prime
 Jaconian vertex is always the lowest in-neighbor c[n] of the last vertex,
@@ -25,7 +29,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain, repeat, starmap, zip_longest
+from itertools import chain, repeat
 from math import isqrt
 from operator import eq
 from typing import Callable
@@ -135,6 +139,27 @@ def milestone_delta(a: int) -> int:
 # first counterexample, or None.  The grid, the caps and the checked text
 # belong to the registry and the runner below it.
 
+# The quadratic second routes that two claims read at the same order, keyed
+# by (route, a, n).  verify_suite clears it in a finally after each order,
+# so at most one order's results are alive and none outlives a run.  The
+# routes are looked up on their modules at call time, so a patched route is
+# the one computed.
+_order_memo: dict[tuple[str, int, int], object] = {}
+
+
+def _naive_build(a, n):
+    key = ("naive_build", a, n)
+    if key not in _order_memo:
+        _order_memo[key] = oracles.naive_build(a, n)
+    return _order_memo[key]
+
+
+def _psi_oracle(g):
+    key = ("psi_oracle", g.a, g.n)
+    if key not in _order_memo:
+        _order_memo[key] = paths_mod.psi_oracle(g)
+    return _order_memo[key]
+
 
 def _claim_seed_values(a, n):
     seq = sequences.c_series(a, n)
@@ -239,15 +264,16 @@ def _claim_binet(a, n):
 def _claim_arc_relation(a, n):
     # both routes give their arcs in lexicographic order, so the relations
     # agree exactly when the two streams match pair by pair to the longer
-    # end; the sets are built only to name a counterexample
-    _, heads = oracles.naive_build(a, n)
+    # end; the sets are built only to name a counterexample.  A None after
+    # each stream makes the shorter one differ where it ends
+    _, heads = _naive_build(a, n)
     g = build(a, n)
     count, naive = edge_count_direct(g), sum(map(len, heads))
 
     def naive_arcs():
         return chain.from_iterable(zip(repeat(i), h) for i, h in enumerate(heads))
 
-    if count != naive or not all(starmap(eq, zip_longest(arcs(g), naive_arcs()))):
+    if count != naive or not all(map(eq, chain(arcs(g), (None,)), chain(naive_arcs(), (None,)))):
         stray = sorted(set(arcs(g)) ^ set(naive_arcs()))
         if stray:
             return f"a={a} arc={stray[0]}"
@@ -257,7 +283,7 @@ def _claim_arc_relation(a, n):
 def _claim_contiguity(a, n):
     # the neighbors of one vertex are distinct and ascending, so they form
     # an interval exactly when their span equals their number
-    tails, heads = oracles.naive_build(a, n)
+    tails, heads = _naive_build(a, n)
     for v in range(1, n + 1):
         for nbrs in (tails[v], heads[v]):
             if nbrs and nbrs[-1] - nbrs[0] + 1 != len(nbrs):
@@ -378,7 +404,7 @@ def _claim_distances(a, n):
 def _claim_psi_recursion(a, n):
     g = build(a, n)
     rec = oracles.psi_recursive(g)
-    dp = paths_mod.psi_oracle(g)
+    dp = _psi_oracle(g)
     if rec != dp:
         j = next(i for i in range(1, n + 1) if rec[i] != dp[i])
         return f"j={j} recursion={rec[j]} dp={dp[j]}"
@@ -387,7 +413,7 @@ def _claim_psi_recursion(a, n):
 def _claim_psi_fast(a, n):
     g = build(a, n)
     fast = paths_mod.path_table(g).psi
-    slow = paths_mod.psi_oracle(g)
+    slow = _psi_oracle(g)
     if fast != slow:
         j = next(i for i in range(1, n + 1) if fast[i] != slow[i])
         return f"a={a} j={j}"
@@ -395,7 +421,7 @@ def _claim_psi_fast(a, n):
 
 def _claim_psi_enumeration(a, n):
     g = build(a, n)
-    psi = paths_mod.psi_oracle(g)
+    psi = _psi_oracle(g)
     for j in range(1, n + 1):
         count = len(oracles.enumerate_shortest_paths(g, j))
         if psi[j] != count:
@@ -495,33 +521,44 @@ _CLAIMS: tuple[_Claim, ...] = (
 )
 
 
-def _run_claim(claim: _Claim, a_min: int, a_max: int, n: int) -> ClaimResult:
-    """Cap the range, check each order in it, stop at the first failure."""
+def _plan(claim: _Claim, a_min: int, a_max: int, n: int) -> tuple[int, range, str]:
+    """The capped n, the orders and the checked text of one claim on the grid."""
     n = min(n, claim.n_cap or n)
     hi = min(a_max, claim.a_cap or a_max)
     if not claim.order1:
         orders, grid = range(a_min, hi + 1), f"a[{a_min}..{hi}]"
     elif a_min <= 1 <= a_max:
-        orders, grid = (1,), "a=1"
+        orders, grid = range(1, 2), "a=1"
     else:
-        return ClaimResult(claim.claim_id, "a=1 (skipped: outside grid)", None)
-    checked = f"{grid} {claim.tail.format(n=n)}".rstrip()
-    counterexample = next(filter(None, (claim.fn(a, n) for a in orders)), None)
-    return ClaimResult(claim.claim_id, checked, counterexample)
+        return n, range(0), "a=1 (skipped: outside grid)"
+    return n, orders, f"{grid} {claim.tail.format(n=n)}".rstrip()
 
 
 def verify_suite(a_min: int, a_max: int, n: int) -> VerificationReport:
     """Run every registered claim over the grid a in [a_min, a_max], n.
 
-    Deterministic: the claims run serially in a fixed order and each
-    reports its first counterexample.
+    Deterministic: the orders are walked in ascending order, and at each
+    one the claims that cover it and have not failed yet run serially in
+    registry order, so each claim reports its first counterexample.
     """
     check_order(a_min)
     if a_max < a_min:
         raise ValueError(f"a_max must be >= a_min, got {a_min}..{a_max}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return VerificationReport(tuple(_run_claim(claim, a_min, a_max, n) for claim in _CLAIMS))
+    plans = [(claim, *_plan(claim, a_min, a_max, n)) for claim in _CLAIMS]
+    found: list[str | None] = [None] * len(plans)
+    for a in range(a_min, a_max + 1):
+        try:
+            for k, (claim, capped, orders, _) in enumerate(plans):
+                if found[k] is None and a in orders:
+                    found[k] = claim.fn(a, capped)
+        finally:
+            _order_memo.clear()
+    return VerificationReport(tuple(
+        ClaimResult(claim.claim_id, checked, counterexample)
+        for (claim, _, _, checked), counterexample in zip(plans, found)
+    ))
 
 
 def render_report(report: VerificationReport) -> str:

@@ -1,13 +1,14 @@
 import dataclasses
 from bisect import insort
 from collections import Counter
+from itertools import chain
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jaco import analysis, graph, oracles, sequences
+from jaco import analysis, graph, oracles, paths, sequences
 from jaco.analysis import (
     TheoremViolationError,
     complete_prefix_count,
@@ -239,6 +240,19 @@ class TestVerifySuite:
             ),
             pytest.param(
                 (analysis.oracles, "naive_build"),
+                lambda real: lambda a, n: (
+                    _toggle_arc(real(a, n), 8, 11) if a == 2 else real(a, n)
+                ),
+                (1, 3, 40),
+                # orders 1 and 3 pass; the claims reading the builder fail at 2
+                {
+                    "graph.arc_relation_matches_naive_builder": "a=2 arc=(8, 11)",
+                    "graph.neighborhood_contiguity": "a=2 vertex=8",
+                },
+                id="naive_build_drops_arc_at_order_2",
+            ),
+            pytest.param(
+                (analysis.oracles, "naive_build"),
                 lambda real: lambda a, n: _toggle_arc(real(a, n), 1, 40),
                 (1, 1, 40),
                 {
@@ -263,6 +277,14 @@ class TestVerifySuite:
                 # the counts agree, so only the lost last arc can show it
                 {"graph.arc_relation_matches_naive_builder": "a=1 arc=(39, 40)"},
                 id="arcs_loses_last",
+            ),
+            pytest.param(
+                (analysis, "arcs"),
+                lambda real: lambda g: chain(real(g), [(1, 40)]) if g.n == 40 else real(g),
+                (1, 1, 40),
+                # the counts agree, so only the stream's extra arc can show it
+                {"graph.arc_relation_matches_naive_builder": "a=1 arc=(1, 40)"},
+                id="arcs_gains_arc",
             ),
             pytest.param(
                 (analysis, "edge_count_recursive"),
@@ -297,7 +319,7 @@ class TestVerifySuite:
         report = verify_suite(*grid)
         failed = [c for c in report.claims if not c.passed]
         assert {c.claim_id: c.counterexample for c in failed} == failures
-        assert all(c.checked == passing[c.claim_id] for c in failed)
+        assert {c.claim_id: c.checked for c in report.claims} == passing
         assert not report.passed
         assert render_report(report).splitlines()[-1] == "OVERALL FAIL"
 
@@ -322,6 +344,58 @@ class TestVerifySuite:
         assert all(checked[i].endswith(" n=40") for i in ids), checked
         assert checked["paths.distance_roots_are_liz_indices"].endswith(" n=41")
         assert report.passed
+
+    def test_shared_second_routes_run_once_per_order(self, monkeypatch):
+        calls = Counter()
+        for module, name in ((oracles, "naive_build"), (paths, "psi_oracle")):
+            real = getattr(module, name)
+
+            def counted(*args, name=name, real=real):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        assert verify_suite(1, 3, 40).passed
+        # the arc relation and the contiguity claim share one build per
+        # order; the path-count DP runs at n = 40 and at the enumeration's
+        # cap 25 for each order, the order-1 recursion sharing (1, 40)
+        assert calls == {"naive_build": 3, "psi_oracle": 6}
+
+    def test_no_shared_result_outlives_a_run(self, monkeypatch):
+        # a run that raises mid-order and a run that returns both leave
+        # nothing behind: the next run computes the routes patched in between
+        real_build, real_psi = oracles.naive_build, paths.psi_oracle
+
+        def faulty_run():
+            with monkeypatch.context() as m:
+                m.setattr(oracles, "naive_build",
+                          lambda a, n: _toggle_arc(real_build(a, n), 8, 11))
+                m.setattr(paths, "psi_oracle", lambda g: tuple(
+                    p + (g.n == 40 and j == 8) for j, p in enumerate(real_psi(g))
+                ))
+                report = verify_suite(2, 2, 40)
+            return {c.claim_id: c.counterexample for c in report.claims if not c.passed}
+
+        faults = {
+            "graph.arc_relation_matches_naive_builder": "a=2 arc=(8, 11)",
+            "graph.neighborhood_contiguity": "a=2 vertex=8",
+            "paths.psi_fast_matches_dp": "a=2 j=8",
+        }
+        real_roots = paths.distance_roots
+
+        def roots(g):
+            # the registry's last claim, so order 2's shared results are all held
+            if g.a == 2:
+                raise RuntimeError("injected")
+            return real_roots(g)
+
+        with monkeypatch.context() as m:
+            m.setattr(paths, "distance_roots", roots)
+            with pytest.raises(RuntimeError, match="injected"):
+                verify_suite(1, 3, 40)
+        assert faulty_run() == faults
+        assert verify_suite(2, 2, 40).passed
+        assert faulty_run() == faults
 
     def test_rejects_bad_grid(self):
         with pytest.raises(ValueError):
