@@ -34,9 +34,7 @@ from .paths import (
     ConjectureReport,
     PathTable,
     UniquenessReport,
-    UnsupportedOrderError,
     conjecture_scan,
-    distance_roots,
     distances,
     path_table,
     psi_oracle,
@@ -65,7 +63,6 @@ __all__ = [
     "SequenceTable",
     "TheoremViolationError",
     "UniquenessReport",
-    "UnsupportedOrderError",
     "VerificationReport",
     "ZeckDigitError",
     "arcs",
@@ -76,7 +73,6 @@ __all__ = [
     "complete_prefix_count",
     "conjecture_scan",
     "degree_profile",
-    "distance_roots",
     "distances",
     "edge_count_direct",
     "edge_count_recursive",

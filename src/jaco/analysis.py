@@ -29,9 +29,9 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, compress, repeat, takewhile, zip_longest
 from math import isqrt
-from operator import eq
+from operator import eq, ne
 from typing import Callable
 
 from . import graph as graph_mod
@@ -264,8 +264,9 @@ def _claim_binet(a, n):
 def _claim_arc_relation(a, n):
     # both routes give their arcs in lexicographic order, so the relations
     # agree exactly when the two streams match pair by pair to the longer
-    # end; the sets are built only to name a counterexample.  A None after
-    # each stream makes the shorter one differ where it ends
+    # end; a None after each stream makes the shorter one differ where it
+    # ends.  A failure names an arc in one set only, else the first position
+    # where the streams differ (a repeated or misplaced arc), else the counts
     _, heads = _naive_build(a, n)
     g = build(a, n)
     count, naive = edge_count_direct(g), sum(map(len, heads))
@@ -277,6 +278,9 @@ def _claim_arc_relation(a, n):
         stray = sorted(set(arcs(g)) ^ set(naive_arcs()))
         if stray:
             return f"a={a} arc={stray[0]}"
+        for k, (fast, slow) in enumerate(zip_longest(arcs(g), naive_arcs()), 1):
+            if fast != slow:
+                return f"a={a} position={k} arcs={fast} naive={slow}"
         return f"a={a} edges={count} naive={naive}"
 
 
@@ -407,7 +411,7 @@ def _claim_psi_recursion(a, n):
     dp = _psi_oracle(g)
     if rec != dp:
         j = next(i for i in range(1, n + 1) if rec[i] != dp[i])
-        return f"j={j} recursion={rec[j]} dp={dp[j]}"
+        return f"a={a} j={j} recursion={rec[j]} dp={dp[j]}"
 
 
 def _claim_psi_fast(a, n):
@@ -432,28 +436,41 @@ def _claim_uniqueness_biconditional(a, n):
     report = paths_mod.uniqueness_check(build(a, n))
     if report.mismatches:
         j = report.mismatches[0]
-        return f"j={j} unique={report.unique[j]} fib={report.criterion[j]}"
+        return f"a={a} j={j} unique={report.unique[j]} liz={report.criterion[j]}"
 
 
-def _claim_psi_one_at_fib(a, n):
-    psi = paths_mod.path_table(build(a, n)).psi
-    fibs = sequences.recurrence_terms(a, 0, 1, at_least=n)  # 0, 1, 1, 2, 3, 5, ...
-    for f in fibs[2:]:
-        if f <= n and psi[f] != 1:
-            return f"f={f} psi={psi[f]}"
+def _claim_level_ends(a, n):
+    # (L) of the level theorem: the levels of the distances end at the Liz
+    # numbers below n, and c[B_{m+1}] = B_m; and each Liz vertex has one
+    # shortest path (step 3 of its proof)
+    g = build(a, n)
+    table = paths_mod.path_table(g)
+    dist, psi, c = table.dist, table.psi, g.seq.c
+    liz = sequences.recurrence_terms(a, 1, 1, at_least=n)  # 1, 1, a+1, ...
+    ends = compress(range(1, n), map(ne, dist[1:n], dist[2:]))
+    for level, (end, b) in enumerate(zip_longest(ends, takewhile(n.__gt__, liz[1:]))):
+        if end != b:
+            return f"a={a} level={level} end={end} liz={b}"
+    for lo, hi in zip(liz, takewhile(n.__ge__, liz[1:])):
+        if c[hi] != lo:
+            return f"a={a} liz={hi} c={c[hi]}"
+        if psi[hi] != 1:
+            return f"a={a} liz={hi} psi={psi[hi]}"
 
 
-def _claim_distance_roots(a, n):
-    roots = paths_mod.distance_roots(build(a, n))
-    liz_set = set(sequences.recurrence_terms(a, 1, 1, at_least=n))
-    for idx in roots:
-        if idx != n and idx not in liz_set:
-            return f"a={a} index={idx}"
+def _claim_non_repetition(a, n):
+    # (N) of the level theorem: the c triple at k is non-repetitive exactly
+    # when the psi triple is
+    g = build(a, n)
+    report = paths_mod.ConjectureReport(g.seq.c, paths_mod.path_table(g).psi)
+    if report.violations:
+        k = next(k for k, _, _, forward, converse in report.rows if not forward or not converse)
+        return f"a={a} k={k}"
 
 
 # caps keeping the quadratic oracles affordable inside one suite run
 _BRUTE_C_CAP = 1500
-# the quadratic path routes (BFS, the path-count DP, the order-1 recursion);
+# the quadratic path routes (BFS, the path-count DP, the Liz-window recursion);
 # 2100 is the largest n of the golden verify reports, so they keep their bytes
 _PATH_ORACLE_CAP = 2100
 _NAIVE_BUILD_CAP = 300
@@ -510,14 +527,13 @@ _CLAIMS: tuple[_Claim, ...] = (
     _Claim("paths.distance_recursion_matches_bfs", "n={n}", _claim_distances,
            n_cap=_PATH_ORACLE_CAP),
     _Claim("paths.psi_recursion_matches_dp", "n={n}", _claim_psi_recursion,
-           n_cap=_PATH_ORACLE_CAP, order1=True),
+           n_cap=_PATH_ORACLE_CAP),
     _Claim("paths.psi_fast_matches_dp", "n={n}", _claim_psi_fast, n_cap=_PATH_ORACLE_CAP),
     _Claim("paths.psi_dp_matches_enumeration", "n={n}", _claim_psi_enumeration,
            n_cap=_PATH_ENUM_CAP),
-    _Claim("paths.uniqueness_biconditional", "j[1..{n}]", _claim_uniqueness_biconditional,
-           order1=True),
-    _Claim("paths.psi_one_at_fibonacci", "fib<={n}", _claim_psi_one_at_fib, order1=True),
-    _Claim("paths.distance_roots_are_liz_indices", "n={n}", _claim_distance_roots),
+    _Claim("paths.uniqueness_biconditional", "j[1..{n}]", _claim_uniqueness_biconditional),
+    _Claim("paths.level_ends_are_liz", "n={n}", _claim_level_ends),
+    _Claim("paths.non_repetition_any_order", "7<=k<{n}", _claim_non_repetition),
 )
 
 

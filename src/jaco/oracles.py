@@ -7,9 +7,8 @@ least-k ascending scan for the c series, the per-insertion graph builder
 set of arcs), the per-vertex degree scan for the maximum degree, the
 out-degree sum of the edge count, exhaustive digit-string enumeration,
 breadth-first distances, explicit shortest-path enumeration, and the
-order-1 Fibonacci-window recursion for path counts.  These are
-deliberately slow and are used by the verification suite and the test
-suite only.
+Liz-window recursion for path counts.  These are deliberately slow and
+are used by the verification suite and the test suite only.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from bisect import bisect_left
 from collections import deque
 
 from .graph import JacoGraph, JaconianInfo, degree_profile, out_neighbors
-from .paths import UnsupportedOrderError
 from .sequences import check_order, recurrence_terms
 
 
@@ -151,24 +149,22 @@ def enumerate_shortest_paths(g: JacoGraph, target: int) -> list[tuple[int, ...]]
 
 
 def psi_recursive(g: JacoGraph) -> tuple[int, ...]:
-    """Order-1 path counts by the Fibonacci-window recursion.
+    """Path counts by the Liz-window recursion, at any order.
 
-    For vertices whose out-degree is a Fibonacci number the shortest path
-    is unique (count 1); otherwise the count sums the counts over the
-    window from the lowest in-neighbor up to the largest Fibonacci number
-    below the vertex index.
+    A vertex whose c[j] is a Liz number has a unique shortest path (count
+    1); otherwise the count sums the counts over the window from the
+    lowest in-neighbor c[j] up to the largest Liz number below j.  At
+    order 1 these are the Fibonacci numbers, as in the source paper.
     """
-    if g.a != 1:
-        raise UnsupportedOrderError(g.a, "the Fibonacci-window recursion")
     c = g.seq.c
-    fibs = recurrence_terms(1, 0, 1, at_least=g.n)  # 0, 1, 1, 2, 3, 5, ...
-    fibset = set(fibs)
+    liz = recurrence_terms(g.a, 1, 1, at_least=g.n)  # 1, 1, a+1, ...
+    lizset = set(liz)
     psi = [0] * (g.n + 1)
     psi[1] = 1
     for j in range(2, g.n + 1):
-        if c[j] in fibset:  # at order 1, dplus[j] = c[j]
+        if c[j] in lizset:
             psi[j] = 1
         else:
-            f_t = fibs[bisect_left(fibs, j) - 1]  # largest Fibonacci < j
-            psi[j] = sum(psi[i] for i in range(c[j], f_t + 1))
+            top = liz[bisect_left(liz, j) - 1]  # largest Liz number < j
+            psi[j] = sum(psi[c[j] : top + 1])
     return tuple(psi)

@@ -1,5 +1,5 @@
-"""Shortest paths from v_1: distances, path counts, and the scanner
-for the open non-repetitiveness conjecture at order 1.
+"""Shortest paths from v_1: distances, path counts, the level theorem
+that ties both to the Liz numbers, and the scan of non-repetitive triples.
 
 Distances follow the forward recursion dist[i] = dist[c[i]] + 1 (the
 lowest in-neighbor always lies on a shortest path).  Since c is
@@ -11,30 +11,58 @@ a run of one repeated distance, and one map into the previous level's
 suffix sums for the path counts.  Path counts have one fast route,
 path_table, which is linear at every order; psi_oracle, the standard DAG
 dynamic program over in-neighbor windows, is its quadratic reference for
-the tests and the verification suite.  At order 1, path uniqueness is compared with
-the "out-degree is a Fibonacci number" criterion.  Out-degrees here are
-always the infinite-graph out-degrees dplus[j], which at order 1 equal
-c[j]; the finite graph would give the last vertex out-degree 0 and
-trivialize every criterion.
+the tests and the verification suite.  Out-degrees here are always the
+infinite-graph out-degrees dplus[j] = (a-1)*j + c[j]; the finite graph
+would give the last vertex out-degree 0 and trivialize every criterion.
+
+The level theorem.  Let B be the Liz numbers of order a, the terms
+1, 1, a+1, ... of x[i+1] = a*x[i] + x[i-1] (recurrence_terms(a, 1, 1)),
+and psi the shortest-path counts.  For every order a >= 1 and every n:
+
+  (L) the distance levels end exactly at the Liz numbers below n and at
+      n, and c[B_{m+1}] = B_m;
+  (U) psi[j] = 1 exactly when c[j] is a Liz number;
+  (N) for 7 <= k < n, the c triple (c[k-1], c[k], c[k+1]) is
+      non-repetitive (no two neighbours equal) exactly when the psi
+      triple at k is.
+
+The source paper (arXiv:1404.1714) states these at order 1, where
+dplus = c and the Liz numbers are the Fibonacci numbers: (U) is its
+"one shortest path exactly at a Fibonacci out-degree" criterion and (N)
+its non-repetitiveness biconditional.  At a >= 2 dplus strictly
+increases, so (N) reads c, not dplus.  Proof sketch:
+
+  1. c[j] < j for j >= 2, so every vertex is reachable and psi >= 1.  So
+     T[i] = psi[1] + ... + psi[i-1] strictly increases for i >= 1.
+  2. The level after the one ending at e ends at e' = a*e + c[e], as
+     _levels walks them.  The reach a*i + c[i] strictly increases and
+     the reach of v_e is e', so c[e'] = e.  Then e'' = a*e' + e, the Liz
+     recurrence from 1, a+1.  This gives (L).
+  3. The window of v_{e'} one hop closer to v_1 is the single vertex v_e,
+     so psi[e'] = psi[e] = 1 by induction.
+  4. Inside a level that starts at s, psi[j] = T[s] - T[c[j]].  So
+     psi[j] = psi[j+1] exactly when c[j] = c[j+1], and psi[j] = 1 exactly
+     when c[j] = s - 1, the previous level end.  Every c[j] lies in the
+     previous level, which holds exactly one Liz number.  This gives (U).
+  5. A triple inside one level has equal flags, by step 4.  At a level
+     boundary e, c[e] != c[e+1] and 1 = psi[e] < psi[e+1].  Once levels
+     have at least two vertices, what remains is the interior case.  This
+     gives (N).
+
+uniqueness_check compares (U) vertex by vertex, and conjecture_scan still
+scans (N) at order 1 line by line, now as an empirical check of a theorem.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, chain, compress, islice, repeat
 from operator import and_, ne, sub
 from typing import Iterator
 
 from .graph import JacoGraph, build
 from .sequences import recurrence_terms
-
-
-class UnsupportedOrderError(ValueError):
-    """Raised when an order-1-only operation is called with a != 1."""
-
-    def __init__(self, a: int, what: str):
-        super().__init__(f"{what} is defined for order a = 1 only, got a = {a}")
 
 
 @dataclass(frozen=True)
@@ -47,11 +75,12 @@ class PathTable:
 
 @dataclass(frozen=True)
 class UniquenessReport:
-    """Per-vertex comparison of path uniqueness with the degree criterion.
+    """Per-vertex comparison of path uniqueness with the Liz criterion (U).
 
     unique[j] is whether v_j has exactly one shortest path from v_1;
-    criterion[j] is whether dplus[j] is a Fibonacci number; mismatches
-    lists every j where the two disagree.
+    criterion[j] is whether c[j] is a Liz number of the graph's order;
+    mismatches lists every j where the two disagree, which the level
+    theorem says never happens.
     """
 
     unique: tuple[bool, ...]
@@ -63,8 +92,9 @@ class UniquenessReport:
 class ConjectureReport:
     """Scan of the non-repetitiveness biconditional for 7 <= k <= n_max - 1.
 
-    Holds the two columns the scan reads, dplus[0..n_max] (at order 1 this
-    is c) and psi[0..n_max], so n_max is len(psi) - 1.  A triple
+    Holds the two columns the scan reads, dplus[0..n_max] and psi[0..n_max],
+    so n_max is len(psi) - 1.  At order 1 dplus is c; (N) of the level
+    theorem is this scan with c in the first column, at every order.  A triple
     (x[k-1], x[k], x[k+1]) is non-repetitive when no two neighbours are
     equal.  Each row is (k, dplus triple, psi triple, forward ok, converse
     ok); forward is "dplus non-repetitive implies psi non-repetitive" and
@@ -172,27 +202,18 @@ def path_table(g: JacoGraph) -> PathTable:
 
 
 def uniqueness_check(g: JacoGraph) -> UniquenessReport:
-    """Compare path uniqueness with the Fibonacci out-degree criterion."""
-    if g.a != 1:
-        raise UnsupportedOrderError(g.a, "the uniqueness criterion")
+    """Compare path uniqueness with the Liz criterion: c[j] is a Liz number."""
     psi = path_table(g).psi
-    dplus = g.seq.c  # at order 1, dplus[j] = c[j]
-    fibset = set(recurrence_terms(1, 0, 1, at_least=dplus[g.n]))
-    unique = [False] + [psi[j] == 1 for j in range(1, g.n + 1)]
-    criterion = [False] + [dplus[j] in fibset for j in range(1, g.n + 1)]
-    mismatches = tuple(j for j in range(1, g.n + 1) if unique[j] != criterion[j])
-    return UniquenessReport(tuple(unique), tuple(criterion), mismatches)
-
-
-def distance_roots(g: JacoGraph) -> tuple[int, ...]:
-    """The i < n with dist[i+1] != dist[i] (the last vertex of each distance
-    level below v_n's), then n; verify_suite checks each is a Liz number."""
-    dist = distances(g)
-    return (*(i for i in range(1, g.n) if dist[i + 1] != dist[i]), g.n)
+    c = g.seq.c[: g.n + 1]
+    liz = set(recurrence_terms(g.a, 1, 1, at_least=c[-1]))
+    unique = (False, *map((1).__eq__, psi[1:]))
+    criterion = (False, *map(liz.__contains__, c[1:]))
+    mismatches = tuple(compress(range(1, g.n + 1), map(ne, unique[1:], criterion[1:])))
+    return UniquenessReport(unique, criterion, mismatches)
 
 
 def conjecture_scan(n_max: int) -> ConjectureReport:
-    """Scan the order-1 non-repetitiveness biconditional up to n_max - 1.
+    """Scan the non-repetitiveness biconditional (N) at order 1 up to n_max - 1.
 
     For each k the out-degree triple at (k-1, k, k+1) and the path-count
     triple are classified as repetitive or not, and both implication

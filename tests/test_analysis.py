@@ -37,6 +37,13 @@ def _toggle_arc(built, i, j, in_heads=True):
     return tails, heads
 
 
+def _swapped(stream, k):
+    """The arc stream with its k-th and (k+1)-th arcs (from 1) swapped."""
+    arcs = list(stream)
+    arcs[k - 1], arcs[k] = arcs[k], arcs[k - 1]
+    return iter(arcs)
+
+
 class TestEdgeCounts:
     def test_direct_examples(self):
         assert edge_count_direct(build(1, 8)) == 13
@@ -161,7 +168,7 @@ class TestVerifySuite:
                 ),
                 (1, 1, 40),
                 {
-                    "paths.psi_recursion_matches_dp": "j=8 recursion=1 dp=2",
+                    "paths.psi_recursion_matches_dp": "a=1 j=8 recursion=1 dp=2",
                     "paths.psi_fast_matches_dp": "a=1 j=8",
                 },
                 id="psi_oracle",
@@ -173,12 +180,31 @@ class TestVerifySuite:
                 )),
                 (1, 1, 40),
                 {
-                    # psi[8] = 2 at the Fibonacci index 8, so v_8 has two paths
+                    # psi[8] = 2 at the Liz (Fibonacci) index 8, so v_8 has two
+                    # paths; the psi triple at k = 8 becomes (2, 2, 5)
                     "paths.psi_fast_matches_dp": "a=1 j=8",
-                    "paths.uniqueness_biconditional": "j=8 unique=False fib=True",
-                    "paths.psi_one_at_fibonacci": "f=8 psi=2",
+                    "paths.uniqueness_biconditional": "a=1 j=8 unique=False liz=True",
+                    "paths.level_ends_are_liz": "a=1 liz=8 psi=2",
+                    "paths.non_repetition_any_order": "a=1 k=8",
                 },
                 id="psi_one_at_fib",
+            ),
+            pytest.param(
+                (analysis.paths_mod, "distances"),
+                lambda real: lambda g: tuple(
+                    d + (g.n == 40 and j == 5) for j, d in enumerate(real(g))
+                ),
+                (1, 1, 40),
+                {
+                    # v_5 moves from level 3 into level 4, so level 3 ends at
+                    # 4, not at the Liz number 5; the path-count DP reads the
+                    # distances too, and v_6 loses its path through v_5
+                    "paths.distance_recursion_matches_bfs": "a=1 i=5 4!=3",
+                    "paths.psi_recursion_matches_dp": "a=1 j=6 recursion=2 dp=1",
+                    "paths.psi_fast_matches_dp": "a=1 j=6",
+                    "paths.level_ends_are_liz": "a=1 level=3 end=4 liz=5",
+                },
+                id="shifted_level_end",
             ),
             pytest.param(
                 (analysis.graph_mod, "_jaconian_at"),
@@ -287,6 +313,31 @@ class TestVerifySuite:
                 id="arcs_gains_arc",
             ),
             pytest.param(
+                (analysis, "arcs"),
+                lambda real: lambda g: chain(real(g), [(39, 40)]) if g.n == 40 else real(g),
+                (1, 1, 40),
+                # the arc sets and the counts agree: only the position where
+                # the streams part shows the repeated arc
+                {
+                    "graph.arc_relation_matches_naive_builder": (
+                        "a=1 position=309 arcs=(39, 40) naive=None"
+                    ),
+                },
+                id="arcs_repeats_last",
+            ),
+            pytest.param(
+                (analysis, "arcs"),
+                lambda real: lambda g: _swapped(real(g), 11) if g.n == 40 else real(g),
+                (1, 1, 40),
+                # the 11th and 12th arcs are (6, 7) and (6, 8)
+                {
+                    "graph.arc_relation_matches_naive_builder": (
+                        "a=1 position=11 arcs=(6, 8) naive=(6, 7)"
+                    ),
+                },
+                id="arcs_out_of_order",
+            ),
+            pytest.param(
                 (analysis, "edge_count_recursive"),
                 lambda real: lambda a, n: [e + (i == 20) for i, e in enumerate(real(a, n))],
                 (1, 1, 40),
@@ -342,7 +393,7 @@ class TestVerifySuite:
         report = verify_suite(1, 1, 41)
         checked = {c.claim_id: c.checked for c in report.claims}
         assert all(checked[i].endswith(" n=40") for i in ids), checked
-        assert checked["paths.distance_roots_are_liz_indices"].endswith(" n=41")
+        assert checked["paths.level_ends_are_liz"].endswith(" n=41")
         assert report.passed
 
     def test_shared_second_routes_run_once_per_order(self, monkeypatch):
@@ -358,7 +409,7 @@ class TestVerifySuite:
         assert verify_suite(1, 3, 40).passed
         # the arc relation and the contiguity claim share one build per
         # order; the path-count DP runs at n = 40 and at the enumeration's
-        # cap 25 for each order, the order-1 recursion sharing (1, 40)
+        # cap 25 for each order, the Liz-window recursion sharing n = 40
         assert calls == {"naive_build": 3, "psi_oracle": 6}
 
     def test_no_shared_result_outlives_a_run(self, monkeypatch):
@@ -379,18 +430,20 @@ class TestVerifySuite:
         faults = {
             "graph.arc_relation_matches_naive_builder": "a=2 arc=(8, 11)",
             "graph.neighborhood_contiguity": "a=2 vertex=8",
+            "paths.psi_recursion_matches_dp": "a=2 j=8 recursion=6 dp=7",
             "paths.psi_fast_matches_dp": "a=2 j=8",
         }
-        real_roots = paths.distance_roots
+        last = analysis._CLAIMS[-1]
 
-        def roots(g):
+        def raising(a, n):
             # the registry's last claim, so order 2's shared results are all held
-            if g.a == 2:
+            if a == 2:
                 raise RuntimeError("injected")
-            return real_roots(g)
+            return last.fn(a, n)
 
         with monkeypatch.context() as m:
-            m.setattr(paths, "distance_roots", roots)
+            m.setattr(analysis, "_CLAIMS",
+                      (*analysis._CLAIMS[:-1], dataclasses.replace(last, fn=raising)))
             with pytest.raises(RuntimeError, match="injected"):
                 verify_suite(1, 3, 40)
         assert faulty_run() == faults

@@ -38,3 +38,13 @@ def test_slow_second_routes_are_reached_only_through_the_claim_suite():
     }
     assert "psi_recursive" not in defined
     assert "psi_recursive" not in jaco.__all__
+
+
+def test_order_one_only_path_names_are_gone():
+    # the level theorem holds at every order, so no order guard or
+    # order-1-only helper is left in the package
+    for name in ("UnsupportedOrderError", "distance_roots"):
+        assert name not in jaco.__all__
+        assert not hasattr(jaco, name)
+        for path in SRC.glob("*.py"):
+            assert name not in path.read_text(), f"{name} in {path.name}"

@@ -2,23 +2,23 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from jaco import paths
+from jaco import analysis, paths
 from jaco.graph import JacoGraph, build
 from jaco.oracles import bfs_distances, enumerate_shortest_paths, psi_recursive
 from jaco.paths import (
     ConjectureReport,
     PathTable,
-    UnsupportedOrderError,
     conjecture_scan,
-    distance_roots,
     distances,
     path_table,
     psi_oracle,
     render_conjecture,
     uniqueness_check,
 )
-from jaco.sequences import c_series, recurrence_terms
+from jaco.sequences import c_closed, c_series, recurrence_terms
 
 
 class TestDistances:
@@ -71,9 +71,17 @@ class TestPsiRecursive:
         g = build(1, 800)
         assert psi_recursive(g) == psi_oracle(g)
 
-    def test_rejects_other_orders(self):
-        with pytest.raises(UnsupportedOrderError):
-            psi_recursive(build(2, 10))
+    def test_matches_oracle_at_higher_orders(self):
+        # the Liz-window recursion: at a = 2 the Liz numbers are 1, 3, 7, 17
+        g = build(2, 20)
+        psi = psi_recursive(g)
+        assert psi[8] == 6  # psi_4 + ... + psi_7
+        assert psi[11] == 4  # psi_5 + psi_6 + psi_7
+        assert psi[16] == 1  # c[16] = 7 is a Liz number
+        for a in range(2, 7):
+            for n in (1, 2, 3, 7, 9, 50, 290, 1500):
+                g = build(a, n)
+                assert psi_recursive(g) == psi_oracle(g), f"a={a} n={n}"
 
 
 class TestPsiFast:
@@ -129,9 +137,12 @@ class TestUniqueness:
         report = uniqueness_check(build(1, 2000))
         assert report.mismatches == ()
 
-    def test_rejects_other_orders(self):
-        with pytest.raises(UnsupportedOrderError):
-            uniqueness_check(build(3, 10))
+    def test_liz_criterion_at_higher_orders(self):
+        # at a = 2 the Liz numbers are 1, 3, 7, 17: c[6] = 3 and c[16] = 7
+        report = uniqueness_check(build(2, 20))
+        assert [j for j in range(1, 21) if report.unique[j]] == [1, 2, 3, 6, 7, 16, 17]
+        assert report.criterion == report.unique
+        assert report.mismatches == ()
 
     def test_fibonacci_indices_have_unique_paths(self):
         psi = psi_oracle(build(1, 1000))
@@ -141,19 +152,29 @@ class TestUniqueness:
             f, g = g, f + g
 
 
+def level_ends(g):
+    """The last vertex of each distance level, read off distances: the i < n
+    with dist[i+1] != dist[i], then n."""
+    dist = paths.distances(g)
+    return (*(i for i in range(1, g.n) if dist[i + 1] != dist[i]), g.n)
+
+
 class TestDistanceRoots:
+    """The distance roots, the last vertex of each level of distances, are
+    the Liz numbers below n, then n: (L) of the level theorem."""
+
     def test_examples(self):
-        assert distance_roots(build(1, 10)) == (1, 2, 3, 5, 8, 10)
-        assert distance_roots(build(2, 10)) == (1, 3, 7, 10)
-        assert distance_roots(build(1, 1)) == (1,)
+        assert level_ends(build(1, 10)) == (1, 2, 3, 5, 8, 10)
+        assert level_ends(build(2, 10)) == (1, 3, 7, 10)
+        assert level_ends(build(1, 1)) == (1,)
 
     def test_members_are_liz_or_n(self):
         for a in (1, 2, 3):
-            roots = distance_roots(build(a, 200))
+            ends = level_ends(build(a, 200))
             liz = [0, 1, 1]
             while liz[-1] < 200:
                 liz.append(a * liz[-1] + liz[-2])
-            for idx in roots:
+            for idx in ends:
                 assert idx == 200 or idx in liz
 
     @pytest.mark.parametrize("a", range(1, 7))
@@ -165,11 +186,12 @@ class TestDistanceRoots:
         seq = c_series(a, 3000)
         for n in sorted(set(range(1, 501)) | near | {3000}):
             want = tuple(sorted({n, *(b for b in liz if b < n)}))
-            assert distance_roots(JacoGraph(seq, n)) == want, f"a={a} n={n}"
+            assert level_ends(JacoGraph(seq, n)) == want, f"a={a} n={n}"
 
     def test_follows_the_distances(self, monkeypatch):
         # J_10(1) has levels 3 = {v_4, v_5} and 4 = {v_6, v_7, v_8}; moving
-        # v_5 up to level 4 moves the root from 5 to 4
+        # v_5 up to level 4 moves the end of level 3 from 5 to 4, and the
+        # level-end claim reads it off the distances
         real = paths.distances
 
         def moved(g):
@@ -177,8 +199,41 @@ class TestDistanceRoots:
             dist[5] = dist[6]
             return tuple(dist)
 
+        assert analysis._claim_level_ends(1, 10) is None
         monkeypatch.setattr(paths, "distances", moved)
-        assert distance_roots(build(1, 10)) == (1, 2, 3, 4, 8, 10)
+        assert level_ends(build(1, 10)) == (1, 2, 3, 4, 8, 10)
+        assert analysis._claim_level_ends(1, 10) == "a=1 level=3 end=4 liz=5"
+
+
+class TestLevelTheorem:
+    """(U) and (N) at every order; (L) through the closed form far past any
+    table.  B is recurrence_terms(a, 1, 1): 1, 1, a+1, ..."""
+
+    @given(a=st.integers(1, 6), n=st.integers(1, 3000))
+    @settings(max_examples=60, deadline=None)
+    def test_uniqueness_and_non_repetition(self, a, n):
+        g = build(a, n)
+        c, psi = g.seq.c, path_table(g).psi
+        liz = set(recurrence_terms(a, 1, 1, at_least=n))
+        # (U): one shortest path exactly where c[j] is a Liz number
+        assert [p == 1 for p in psi[1:]] == [c[j] in liz for j in range(1, n + 1)]
+        assert uniqueness_check(g).mismatches == ()
+        # (N): the c and psi triples are non-repetitive together
+        assert ConjectureReport(c, psi).violations == 0
+
+    @pytest.mark.parametrize("a", range(1, 7))
+    def test_closed_form_at_liz_levels_to_a_googol(self, a):
+        # c[B_m] = B_{m-1}, and the next level's first vertex has c one
+        # further; read through c_closed, which needs no table
+        liz = recurrence_terms(a, 1, 1, at_least=10**100)
+        checked = 0
+        for lo, hi in zip(liz[1:], liz[2:]):
+            if hi > 10**100:
+                break
+            assert c_closed(a, hi) == lo, f"a={a} B={hi}"
+            assert c_closed(a, hi + 1) == lo + 1, f"a={a} B={hi}"
+            checked += 1
+        assert checked >= 100
 
 
 class TestConjectureScan:
