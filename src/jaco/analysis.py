@@ -1,11 +1,14 @@
 """Edge counts by the Hope decomposition and the prime-vertex recurrence
 (the direct count lives in graph), the maximum-degree milestone search,
 and the verification harness.  The prefix walkers (the milestone search,
-the recursive edge count and two claims) each build one sequence table and
-read each prefix's maximum degree from the closed form
-graph._jaconian_at(seq, m), not from a degree scan.  edge_count_recursive
-holds the one copy of the prime-vertex recurrence, and the edge-count
-claim reads it.
+the recursive edge count and the monotone-delta and lowest-in-neighbor
+claims) each build one sequence table and read each prefix's maximum
+degree from the closed form graph._jaconian_at(seq, m), not from a degree
+scan.  That form is three plain ints (delta, first, last): the Jaconian
+set is the run v_first..v_last and the prime index is first, so no walker
+builds a JaconianInfo record per prefix, and edge_count_theorem reads
+its prime index the same way.  edge_count_recursive holds the one copy of
+the prime-vertex recurrence, and the edge-count claim reads it.
 
 The harness turns every structural claim the library relies on into a
 deterministic pass/fail check over a parameter grid, reporting the first
@@ -83,7 +86,7 @@ def edge_count_theorem(g: JacoGraph) -> int:
     on the n - k Hope vertices; everything else is counted by the finite
     out-degrees of v_1..v_k.  O(log n) per graph, through the summatory c.
     """
-    k = jaconian(g).prime_index
+    k = graph_mod._jaconian_at(g.seq, g.n)[1]
     hope_size = g.n - k
     return hope_size * (hope_size - 1) // 2 + graph_mod._out_arcs(g, k)
 
@@ -100,9 +103,8 @@ def edge_count_recursive(a: int, n_max: int) -> list[int]:
     seq = sequences.c_series(a, n_max)
     eps = [0]
     for n in range(1, n_max):
-        info = graph_mod._jaconian_at(seq, n)
-        i = info.prime_index
-        eps.append(eps[-1] + n - i + (info.delta != a * i))
+        delta, i, _ = graph_mod._jaconian_at(seq, n)
+        eps.append(eps[-1] + n - i + (delta != a * i))
     return eps
 
 
@@ -122,8 +124,8 @@ def milestone_delta(a: int) -> int:
     bound = 2 * (target_delta + 1)
     seq = sequences.c_series(a, bound)
     for n in range(1, bound + 1):
-        info = graph_mod._jaconian_at(seq, n)
-        if info.delta == target_delta and info.jaconian_set == (a + 1,):
+        delta, first, last = graph_mod._jaconian_at(seq, n)
+        if delta == target_delta and first == last == a + 1:
             return n
     raise TheoremViolationError(
         f"no n <= {bound} has maximum degree {target_delta} attained by "
@@ -169,10 +171,11 @@ def _claim_seed_values(a, n):
 
 def _claim_degree_identity(a, n):
     # out-degree counted without dplus: the v_j > v_m whose in-window [c[j], j-1]
-    # holds v_m; c is non-decreasing and every such j is <= reach_m <= (a+1)*m
+    # holds v_m; c is non-decreasing and every such j is <= reach_m <= (a+1)*m.
+    # The in-degree m - c[m] is read inline: a column would span the whole table
     seq = sequences.c_series(a, (a + 1) * n + 1)
     for m in range(1, n + 1):
-        if bisect_right(seq.c, m) - 1 - m + seq.dminus[m] != a * m:
+        if (bisect_right(seq.c, m) - 1 - m) + (m - seq.c[m]) != a * m:
             return f"a={a} n={m}"
 
 
@@ -308,11 +311,12 @@ def _claim_monotone_delta(a, n):
     seq = sequences.c_series(a, n)
     prev = 0
     for m in range(1, n + 1):
-        info = graph_mod._jaconian_at(seq, m)
-        if not prev <= info.delta <= prev + 1:
-            return f"a={a} n={m} delta {prev}->{info.delta}"
-        prev = info.delta
-    if info != oracles.jaconian_scan(JacoGraph(seq, n)):
+        delta = graph_mod._jaconian_at(seq, m)[0]
+        if not prev <= delta <= prev + 1:
+            return f"a={a} n={m} delta {prev}->{delta}"
+        prev = delta
+    g = JacoGraph(seq, n)
+    if jaconian(g) != oracles.jaconian_scan(g):
         return f"a={a} n={n} sweep differs from full scan"
 
 
@@ -349,13 +353,13 @@ def _claim_lowest_in_neighbor_attains_delta(a, n):
     # maximum degree (the stated "prime = c[n]" fails at degree ties)
     seq = sequences.c_series(a, n)
     for m in range(2, n + 1):
-        info = graph_mod._jaconian_at(seq, m)
+        delta, first, _ = graph_mod._jaconian_at(seq, m)
         g = JacoGraph(seq, m)
         lowest = seq.c[m]
-        if len(in_neighbors(g, lowest)) + len(out_neighbors(g, lowest)) != info.delta:
+        if len(in_neighbors(g, lowest)) + len(out_neighbors(g, lowest)) != delta:
             return f"a={a} n={m}"
-        if info.prime_index not in (lowest, lowest - 1):
-            return f"a={a} n={m} prime={info.prime_index}"
+        if first not in (lowest, lowest - 1):
+            return f"a={a} n={m} prime={first}"
 
 
 def _claim_hope_complete(a, n):

@@ -9,6 +9,13 @@ Vertex indexing is 1-based throughout.
 
 The cut at v_n: by the definition of c, a*i + c[i] >= n exactly when
 i >= c[n], so that min is a*i + c[i] below c[n] and n from c[n] on.
+
+The maximum degree of each prefix J_m(a) is a closed form in c:
+_jaconian_at(seq, m) returns it as three ints (delta, first, last).  The
+vertices attaining delta form the contiguous run v_first..v_last, and the
+Hope range above the prime index first is first+1..m, so only the public
+jaconian(g) spells them out as a JaconianInfo record; the prefix walkers
+in analysis read the ints.
 """
 
 from __future__ import annotations
@@ -163,8 +170,11 @@ def edge_count_direct(g: JacoGraph) -> int:
     return _out_arcs(g, g.n)
 
 
-def _jaconian_at(seq: SequenceTable, m: int) -> JaconianInfo:
-    """jaconian(J_m(a)) on the table seq, in O(1) plus the size of the set.
+def _jaconian_at(seq: SequenceTable, m: int) -> tuple[int, int, int]:
+    """(delta, first, last) of J_m(a) on the table seq, in O(1).
+
+    delta is the maximum degree of J_m(a); the vertices attaining it are
+    exactly the run v_first..v_last, and first is the prime index.
 
     In J_m(a) vertex v_i has degree min(reach_i, m) - c[i], where
     reach_i = a*i + c[i] increases with i.  By the cut at v_m, the
@@ -179,7 +189,8 @@ def _jaconian_at(seq: SequenceTable, m: int) -> JaconianInfo:
         delta = max(a*(f-1), m - c[f]),
 
     attained by v_{f-1} when f > 1 and a*(f-1) = delta, and by
-    v_f..v_{e-1} when m - c[f] = delta.
+    v_f..v_{e-1} when m - c[f] = delta.  v_{f-1} sits just below the tie
+    run, so in each of the three cases the set is one contiguous run.
     """
     a, c = seq.a, seq.c
     f = c[m]
@@ -187,22 +198,24 @@ def _jaconian_at(seq: SequenceTable, m: int) -> JaconianInfo:
     top = m - k
     full = a * (f - 1)
     if full > top:
-        return JaconianInfo(full, (f - 1,), range(f, m + 1))
+        return full, f - 1, f - 1
     end = a * k + c[k]
     if end > m:
         end = m
-    run = range(f, end + 1)
     if full == top and f > 1:
-        return JaconianInfo(top, (f - 1, *run), range(f, m + 1))
-    return JaconianInfo(top, tuple(run), range(f + 1, m + 1))
+        return top, f - 1, end
+    return top, f, end
 
 
 def jaconian(g: JacoGraph) -> JaconianInfo:
     """Maximum total degree, the vertices attaining it, and the Hope range.
 
-    O(1) plus the size of the Jaconian set, by the closed form of _jaconian_at.
+    O(1) plus the size of the Jaconian set, by the closed form of
+    _jaconian_at: the set is the run v_first..v_last and the Hope range
+    runs from first + 1 to n.
     """
-    return _jaconian_at(g.seq, g.n)
+    delta, first, last = _jaconian_at(g.seq, g.n)
+    return JaconianInfo(delta, tuple(range(first, last + 1)), range(first + 1, g.n + 1))
 
 
 def hope_is_complete(g: JacoGraph) -> tuple[bool, tuple[int, int] | None]:

@@ -50,15 +50,12 @@ def check_order(a: int) -> None:
 class SequenceTable:
     """The series c[0], c[1], ... of order a; derived columns are computed on demand.
 
-    dminus[n] = n - c[n], dplus[n] = (a-1)*n + c[n] and reach[n] = a*n + c[n].
+    dplus[n] = (a-1)*n + c[n] and reach[n] = a*n + c[n].  The in-degree
+    n - c[n] has no column: its readers take it inline from c.
     """
 
     a: int
     c: tuple[int, ...]
-
-    @cached_property
-    def dminus(self) -> tuple[int, ...]:
-        return tuple(n - cn for n, cn in enumerate(self.c))
 
     @cached_property
     def dplus(self) -> tuple[int, ...]:

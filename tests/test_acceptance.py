@@ -56,7 +56,7 @@ def test_01_degree_identity():
         for a in range(1, 6):
             t = c_series(a, 2000)
             for n in range(1, 2001):
-                assert t.dplus[n] + t.dminus[n] == a * n
+                assert t.dplus[n] + (n - t.c[n]) == a * n
 
 
 def test_02_closed_form_equivalence():

@@ -209,8 +209,7 @@ class TestVerifySuite:
             pytest.param(
                 (analysis.graph_mod, "_jaconian_at"),
                 lambda real: lambda seq, m: (
-                    dataclasses.replace(real(seq, m), delta=real(seq, m).delta + 1)
-                    if m == 20 else real(seq, m)
+                    (real(seq, m)[0] + 1, *real(seq, m)[1:]) if m == 20 else real(seq, m)
                 ),
                 (1, 1, 40),
                 {
@@ -486,6 +485,25 @@ def test_prefix_searches_do_not_rescan_per_prefix(monkeypatch):
     assert small["degree_profile"] > 0 and small["jaconian_scan"] > 0
 
 
+def test_prefix_walkers_build_no_jaconian_record(monkeypatch):
+    # the walkers read the closed form's three ints; only the public
+    # jaconian(g) builds a JaconianInfo, one per call
+    built = []
+
+    class Counted(graph.JaconianInfo):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(graph, "JaconianInfo", Counted)
+    milestone_delta(12)
+    milestone_delta(24)
+    edge_count_recursive(2, 200)
+    assert len(built) == 0
+    graph.jaconian(build(2, 50))
+    assert len(built) == 1
+
+
 def test_single_graph_routes_make_no_degree_scan(monkeypatch):
     # the Jaconian and both edge counts of one graph are closed forms in c
     calls = Counter()
@@ -520,8 +538,8 @@ def test_milestone_reports_violation_when_search_exhausts(monkeypatch):
 
 
 def test_degree_identity_counts_out_degrees_from_the_in_windows(monkeypatch):
-    # dplus[m] + dminus[m] = a*m holds for any table by the column
-    # definitions; the out-degree read off the in-windows does not
+    # dplus[m] + m - c[m] = a*m holds for any table by the column
+    # definition; the out-degree read off the in-windows does not
     assert analysis._claim_degree_identity(2, 50) is None
     monkeypatch.setattr(analysis.sequences, "c_series", _flat_table)
     assert analysis._claim_degree_identity(2, 50) == "a=2 n=1"
