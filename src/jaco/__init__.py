@@ -45,6 +45,7 @@ from .sequences import (
     SequenceTable,
     ZeckDigitError,
     bettina_dplus,
+    c_beatty,
     c_closed,
     c_series,
     liz_terms,
@@ -68,6 +69,7 @@ __all__ = [
     "arcs",
     "bettina_dplus",
     "build",
+    "c_beatty",
     "c_closed",
     "c_series",
     "complete_prefix_count",

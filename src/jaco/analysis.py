@@ -33,7 +33,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain, compress, repeat, takewhile, zip_longest
-from math import isqrt
 from operator import eq, ne
 from typing import Callable
 
@@ -170,8 +169,9 @@ def _claim_seed_values(a, n):
 
 
 def _claim_degree_identity(a, n):
-    # out-degree counted without dplus: the v_j > v_m whose in-window [c[j], j-1]
-    # holds v_m; c is non-decreasing and every such j is <= reach_m <= (a+1)*m.
+    # the out-degree is counted, not taken as (a-1)*m + c[m]: the v_j > v_m whose
+    # in-window [c[j], j-1] holds v_m; c is non-decreasing and every such j is
+    # <= reach_m <= (a+1)*m.
     # The in-degree m - c[m] is read inline: a column would span the whole table
     seq = sequences.c_series(a, (a + 1) * n + 1)
     for m in range(1, n + 1):
@@ -231,24 +231,23 @@ def _claim_zeck_uniqueness(a, n):
             return f"a={a} n={value} greedy differs"
 
 
-def _claim_bettina(a, n):
-    # order-1 out-degrees are c, Hofstadter's G-sequence (OEIS A005206), so
-    # floor((m+1)/phi) is exact and shares no code with c_series or c_closed
-    for m in range(1, n + 1):
-        if sequences.bettina_dplus(m) != (isqrt(5 * (m + 1) ** 2) - m - 1) // 2:
-            return f"n={m}"
+def _claim_beatty(a, n):
+    # the Beatty form floor(m/r + r/(r+1)) is exact in integers and shares no
+    # code with c_series or c_closed; at a = 1 it is Hofstadter's G-sequence
+    c = sequences.c_series(a, n).c
+    for m in range(n + 1):
+        if sequences.c_beatty(a, m) != c[m]:
+            return f"a={a} n={m}"
 
 
-def _claim_outdegree_fixpoints(a, n):
-    # order-1 identities D(i + D(i)) = i and D(i + D(i-1)) = i
-    d = sequences.c_series(a, n).dplus
-    for i in range(2, n + 1):
-        k = i + d[i]
-        if k <= n and d[k] != i:
-            return f"i={i} D(i+D(i))={d[k]}"
-        k2 = i + d[i - 1]
-        if k2 <= n and d[k2] != i:
-            return f"i={i} D(i+D(i-1))={d[k2]}"
+def _claim_run_start(a, n):
+    # the run of k in c starts one past reach_{k-1} and seq.fixpoint (b = 0) checks
+    # its end, reach_k; at a = 1, D = c and these are D(i+D(i-1)) = D(i+D(i)) = i
+    c = sequences.c_series(a, n).c
+    for k in range(1, n + 1):
+        start = a * (k - 1) + c[k - 1] + 1
+        if start <= n and c[start] != k:
+            return f"a={a} k={k}"
 
 
 def _claim_binet(a, n):
@@ -488,7 +487,7 @@ class _Claim:
     """A registered claim: fn(a, n) checks one order a up to n.
 
     tail is the checked text after the grid, formatted with the capped n.
-    n_cap and a_cap cut the range short; order1 claims run only at a = 1.
+    n_cap and a_cap cut the range short.
     """
 
     claim_id: str
@@ -496,7 +495,6 @@ class _Claim:
     fn: Callable[[int, int], str | None]
     n_cap: int | None = None
     a_cap: int | None = None
-    order1: bool = False
 
 
 _CLAIMS: tuple[_Claim, ...] = (
@@ -509,9 +507,8 @@ _CLAIMS: tuple[_Claim, ...] = (
     _Claim("seq.fixpoint", "k,b within n<={n}", _claim_fixpoint),
     _Claim("seq.zeck_roundtrip", "n[0..{n}]", _claim_zeck_roundtrip),
     _Claim("seq.zeck_uniqueness", "n[1..{n}]", _claim_zeck_uniqueness, n_cap=_ZECK_ENUM_CAP),
-    _Claim("seq.zeckendorf_shift_outdegree", "n[1..{n}]", _claim_bettina, order1=True),
-    _Claim("seq.outdegree_fixpoints_order1", "i[2..{n}]", _claim_outdegree_fixpoints,
-           order1=True),
+    _Claim("seq.beatty_form", "n[0..{n}]", _claim_beatty),
+    _Claim("seq.run_start_fixpoint", "k within n<={n}", _claim_run_start),
     _Claim("seq.binet_crosscheck", "U_n*n < 2^50", _claim_binet),
     _Claim("graph.arc_relation_matches_naive_builder", "n={n}", _claim_arc_relation,
            n_cap=_NAIVE_BUILD_CAP),
@@ -545,13 +542,7 @@ def _plan(claim: _Claim, a_min: int, a_max: int, n: int) -> tuple[int, range, st
     """The capped n, the orders and the checked text of one claim on the grid."""
     n = min(n, claim.n_cap or n)
     hi = min(a_max, claim.a_cap or a_max)
-    if not claim.order1:
-        orders, grid = range(a_min, hi + 1), f"a[{a_min}..{hi}]"
-    elif a_min <= 1 <= a_max:
-        orders, grid = range(1, 2), "a=1"
-    else:
-        return n, range(0), "a=1 (skipped: outside grid)"
-    return n, orders, f"{grid} {claim.tail.format(n=n)}".rstrip()
+    return n, range(a_min, hi + 1), f"a[{a_min}..{hi}] {claim.tail.format(n=n)}".rstrip()
 
 
 def verify_suite(a_min: int, a_max: int, n: int) -> VerificationReport:

@@ -4,9 +4,31 @@ The central object is the lowest-in-neighbor series c: c[0] = 0, c[1] = 1
 and, for n >= 2, c[n] is the least k < n with a*k + c[k] >= n.  From it
 follow the in-degree (n - c[n]), the out-degree ((a-1)*n + c[n]) and the
 reach (a*n + c[n]) of every vertex of the infinite order-a graph.  Only c
-is stored; these three derived columns are computed on first access.  The
-running sum of c has no column: graph computes it at one index from c
-alone, in O(log n).
+is stored, and only the reach has a column, computed on first access; the
+two degrees are read inline from c.  The running sum of c has no column:
+graph computes it at one index from c alone, in O(log n).
+
+At every order c is a Beatty sequence.  Let r = (a + sqrt(a*a + 4))/2, so
+that r = a + 1/r, and beta = r/(r+1).  Then, for every n >= 0,
+
+    c[n] = floor(n/r + beta)
+         = (isqrt((a*a + 4)*(a*n + 1)**2) - a*a*n + a - 2) // (2*a),
+
+which c_beatty evaluates.  At a = 1 this is floor((n+1)/phi), Hofstadter's
+G-sequence (OEIS A005206).  Proof:
+  1. Let f(k) = floor(k/r + beta).  Since a + 1/r = r,
+     a*k + f(k) = floor(k*r + beta).
+  2. floor(k*r + beta) >= n holds exactly when k >= (n - beta)/r.  Since
+     beta*(1 + 1/r) = 1, (n - beta)/r = x - 1 with x = n/r + beta.
+  3. x is irrational for every n >= 0: its sqrt(a*a + 4) coefficient is
+     (a*n + 1)/(2a) > 0, and a*a + 4 is never a square.  So the least such
+     k is ceil(x - 1) = floor(x) = f(n).
+  4. f(0) = 0 and f(1) = 1, because 1/r + beta lies in (1, 2).  By strong
+     induction on the definition of c, c = f.
+  5. For the integer form: x = ((a*n + 1)*sqrt(a*a + 4) - a*a*n + a - 2)/(2a),
+     and floor((y + m)/q) = floor((floor(y) + m)/q) for integers m and q > 0.
+A corollary: the reach a*k + c[k] = floor(k*r + beta) is a Beatty sequence
+too.
 
 The same series has a closed form over the generalized Lucas basis
 U(a, -1): expand n in the unique constrained digit expansion over that
@@ -29,6 +51,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, islice
+from math import isqrt
 from operator import mul
 
 
@@ -48,18 +71,14 @@ def check_order(a: int) -> None:
 
 @dataclass(frozen=True)
 class SequenceTable:
-    """The series c[0], c[1], ... of order a; derived columns are computed on demand.
+    """The series c[0], c[1], ... of order a; the reach column is computed on demand.
 
-    dplus[n] = (a-1)*n + c[n] and reach[n] = a*n + c[n].  The in-degree
-    n - c[n] has no column: its readers take it inline from c.
+    reach[n] = a*n + c[n].  The in-degree n - c[n] and the out-degree
+    (a-1)*n + c[n] have no column: their readers take them inline from c.
     """
 
     a: int
     c: tuple[int, ...]
-
-    @cached_property
-    def dplus(self) -> tuple[int, ...]:
-        return tuple((self.a - 1) * n + cn for n, cn in enumerate(self.c))
 
     @cached_property
     def reach(self) -> tuple[int, ...]:
@@ -228,6 +247,15 @@ def c_closed(a: int, n: int) -> int:
     digits = zeck_encode(a, n)
     terms = recurrence_terms(a, 0, 1, at_least=n)
     return _dot(digits, terms) + tau(digits)  # alpha_i * U_{i-1}
+
+
+def c_beatty(a: int, n: int) -> int:
+    """c[n] from its Beatty form floor(n/r + r/(r+1)), in exact integers
+    (see the module docstring)."""
+    check_order(a)
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    return (isqrt((a * a + 4) * (a * n + 1) ** 2) - a * a * n + a - 2) // (2 * a)
 
 
 def bettina_dplus(n: int) -> int:

@@ -54,9 +54,13 @@ class _Criterion:
 def test_01_degree_identity():
     with _Criterion(1, "degree identity d+ + d- = a*n", 5):
         for a in range(1, 6):
-            t = c_series(a, 2000)
+            # every v_j with v_n in its in-window [c[j], j-1] has j <= (a+1)*n
+            c = c_series(a, (a + 1) * 2000 + 1).c
             for n in range(1, 2001):
-                assert t.dplus[n] + (n - t.c[n]) == a * n
+                # the out-degree counted from the in-windows is (a-1)*n + c[n]
+                d_out = bisect_right(c, n) - 1 - n
+                assert d_out == (a - 1) * n + c[n]
+                assert d_out + (n - c[n]) == a * n
 
 
 def test_02_closed_form_equivalence():
@@ -69,9 +73,10 @@ def test_02_closed_form_equivalence():
 
 def test_03_zeckendorf_shift_outdegree():
     with _Criterion(3, "Zeckendorf-shift out-degree to 1e5", 10):
-        dplus = c_series(1, 100_000).dplus
+        # at a = 1 the out-degree (a-1)*n + c[n] is c[n]
+        c = c_series(1, 100_000).c
         for n in range(1, 100_001):
-            assert bettina_dplus(n) == dplus[n], f"n={n}"
+            assert bettina_dplus(n) == c[n], f"n={n}"
 
 
 def test_04_zeckendorf_uniqueness():

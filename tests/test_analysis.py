@@ -124,7 +124,7 @@ class TestVerifySuite:
         "a_min, a_max, n",
         [
             (1, 3, 200),  # the CLI default
-            (2, 4, 150),  # the order-1 claims are skipped
+            (2, 4, 150),  # a grid without order 1
             (1, 1, 2100),  # past every n cap
             (20, 22, 30),  # past the milestone a cap
         ],
@@ -153,6 +153,13 @@ class TestVerifySuite:
                 (2, 2, 40),
                 {"seq.closed_form": "a=2 n=17"},
                 id="closed_form",
+            ),
+            pytest.param(
+                (analysis.sequences, "c_beatty"),
+                lambda real: lambda a, n: real(a, n) + ((a, n) == (2, 17)),
+                (1, 3, 40),
+                {"seq.beatty_form": "a=2 n=17"},
+                id="beatty_form",
             ),
             pytest.param(
                 (analysis.graph_mod, "in_neighbors"),
@@ -545,22 +552,41 @@ def test_degree_identity_counts_out_degrees_from_the_in_windows(monkeypatch):
     assert analysis._claim_degree_identity(2, 50) == "a=2 n=1"
 
 
-def test_order_one_outdegree_claim_does_not_share_a_fault_with_the_closed_form(monkeypatch):
-    # one fault in both c routes at (a, n) = (1, 17) passes seq.closed_form,
-    # which compares them; the Beatty form still finds it in bettina_dplus
+@pytest.mark.parametrize("a", [1, 2])
+def test_beatty_claim_does_not_share_a_fault_with_the_closed_form(monkeypatch, a):
+    # one fault in both c routes at n = 17 passes seq.closed_form, which
+    # compares them; the Beatty form still names it
     real_table, real_closed = analysis.sequences.c_series, analysis.sequences.c_closed
 
-    def table(a, horizon):
-        c = list(real_table(a, horizon).c)
-        if a == 1 and horizon >= 17:
+    def table(order, horizon):
+        c = list(real_table(order, horizon).c)
+        if order == a and horizon >= 17:
             c[17] += 1
-        return analysis.sequences.SequenceTable(a, tuple(c))
+        return analysis.sequences.SequenceTable(order, tuple(c))
 
     monkeypatch.setattr(analysis.sequences, "c_series", table)
     monkeypatch.setattr(analysis.sequences, "c_closed",
-                        lambda a, n: real_closed(a, n) + ((a, n) == (1, 17)))
-    assert analysis._claim_closed_form(1, 40) is None
-    assert analysis._claim_bettina(1, 40) == "n=17"
+                        lambda order, n: real_closed(order, n) + ((order, n) == (a, 17)))
+    assert analysis._claim_closed_form(a, 40) is None
+    assert analysis._claim_beatty(a, 40) == f"a={a} n=17"
+
+
+def test_run_start_claim_checks_what_the_fixpoint_claim_does_not(monkeypatch):
+    # at a = 1 the run of 6 in c is n = 9, 10: seq.fixpoint (b = 0 only)
+    # reads its end, reach_6 = 10, and only the run-start claim reads c[9],
+    # the old order-1 identity D(i + D(i-1)) = i at i = 6
+    real_table = analysis.sequences.c_series
+
+    def table(a, horizon):
+        c = list(real_table(a, horizon).c)
+        c[9] -= 1
+        return analysis.sequences.SequenceTable(a, tuple(c))
+
+    assert analysis._claim_run_start(1, 40) is None
+    monkeypatch.setattr(analysis.sequences, "c_series", table)
+    assert analysis._claim_fixpoint(1, 40) is None
+    assert analysis._claim_monotone_step(1, 40) is None
+    assert analysis._claim_run_start(1, 40) == "a=1 k=6"
 
 
 def test_naive_oracles_read_no_fast_route(monkeypatch):

@@ -41,9 +41,10 @@ def test_slow_second_routes_are_reached_only_through_the_claim_suite():
 
 
 def test_order_one_only_path_names_are_gone():
-    # the level theorem holds at every order, so no order guard or
-    # order-1-only helper is left in the package
-    for name in ("UnsupportedOrderError", "distance_roots"):
+    # the level theorem and the Beatty form hold at every order, so no
+    # order guard, order-1-only helper or claim skipped off the grid is
+    # left in the package
+    for name in ("UnsupportedOrderError", "distance_roots", "order1", "skipped: outside grid"):
         assert name not in jaco.__all__
         assert not hasattr(jaco, name)
         for path in SRC.glob("*.py"):

@@ -11,6 +11,7 @@ from jaco.oracles import c_series_bruteforce, enumerate_zeck_reps
 from jaco.sequences import (
     ZeckDigitError,
     bettina_dplus,
+    c_beatty,
     c_closed,
     c_series,
     liz_terms,
@@ -104,9 +105,9 @@ class TestCSeries:
     def test_derived_columns(self, a):
         t = c_series(a, 300)
         for n in range(1, 301):
-            # the in-degree n - c[n] has no column; it pins dplus here
-            assert t.dplus[n] + (n - t.c[n]) == a * n
-            assert t.reach[n] == n + t.dplus[n]
+            # the out-degree (a-1)*n + c[n] and the in-degree n - c[n] have no
+            # column; the reach is n plus the out-degree
+            assert t.reach[n] == a * n + t.c[n]
 
     @pytest.mark.parametrize("a", [1, 2, 3, 4, 5])
     def test_fixpoint_identity(self, a):
@@ -218,7 +219,8 @@ class TestBettina:
     def test_matches_closed_form_and_outdegree(self):
         t = c_series(1, 3000)
         for n in range(1, 3001):
-            assert bettina_dplus(n) == c_closed(1, n) == t.dplus[n]
+            # at a = 1 the out-degree (a-1)*n + c[n] is c[n]
+            assert bettina_dplus(n) == c_closed(1, n) == t.c[n]
 
 
 def golden_beatty(n):
@@ -233,12 +235,30 @@ class TestOrderOneBeatty:
 
     def test_table_matches_at_every_n(self):
         c = c_series(1, 200_000).c
-        assert all(c[n] == golden_beatty(n) for n in range(1, 200_001))
+        assert all(c[n] == golden_beatty(n) == c_beatty(1, n) for n in range(1, 200_001))
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(min_value=1, max_value=10**100 - 1))
     def test_closed_form_and_bettina_match_up_to_a_googol(self, n):
         assert c_closed(1, n) == bettina_dplus(n) == golden_beatty(n)
+
+
+class TestBeattyForm:
+    # c[n] = floor(n/r + r/(r+1)) at every order, in exact integers
+
+    def test_examples(self):
+        assert [c_beatty(1, n) for n in range(9)] == [0, 1, 1, 2, 3, 3, 4, 4, 5]
+        assert [c_beatty(2, n) for n in range(9)] == [0, 1, 1, 1, 2, 2, 3, 3, 4]
+
+    @pytest.mark.parametrize("a", range(1, 13))
+    def test_matches_the_table_at_every_n(self, a):
+        c = c_series(a, 20_000).c
+        assert all(c_beatty(a, n) == c[n] for n in range(20_001))
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=st.integers(1, 8) | st.just(10**9), n=st.integers(1, 10**120))
+    def test_matches_the_closed_form(self, a, n):
+        assert c_beatty(a, n) == c_closed(a, n)
 
 
 # orders 1..8 and one order so large that a digit can be ~10**9, with
@@ -309,6 +329,12 @@ def test_horizon_zero_table():
 
 
 def test_order_validation():
-    for fn in (lambda: c_series(0, 5), lambda: zeck_encode(0, 3), lambda: sequences.c_closed(-1, 3)):
+    for fn in (
+        lambda: c_series(0, 5),
+        lambda: zeck_encode(0, 3),
+        lambda: sequences.c_closed(-1, 3),
+        lambda: c_beatty(0, 5),
+        lambda: c_beatty(2, -1),
+    ):
         with pytest.raises(ValueError):
             fn()
