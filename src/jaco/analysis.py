@@ -16,9 +16,10 @@ counterexample of any failing claim.  Each claim checks one order a up
 to n; a registry holds its id, checked-text tail and caps.  One runner
 applies the caps and walks the orders in ascending order, running at each
 order every claim that covers it and has not failed yet, so each claim
-still reports its first failing order.  The quadratic second routes that
-two claims read at one order, the naive builder and the path-count DP,
-are computed once per (a, capped n) and dropped when the order is done.
+still reports its first failing order.  The second routes that two
+claims read at one order, the naive builder (linear in its Theta(n^2)
+output) and the quadratic path-count DP, are computed once per
+(a, capped n), and none is carried from one order to the next.
 
 One deliberate correction: the source material asserts that the prime
 Jaconian vertex is always the lowest in-neighbor c[n] of the last vertex,
@@ -140,9 +141,10 @@ def milestone_delta(a: int) -> int:
 # first counterexample, or None.  The grid, the caps and the checked text
 # belong to the registry and the runner below it.
 
-# The quadratic second routes that two claims read at the same order, keyed
-# by (route, a, n).  verify_suite clears it in a finally after each order,
-# so at most one order's results are alive and none outlives a run.  The
+# The second routes that two claims read at the same order, keyed by
+# (route, a, n).  verify_suite clears it before each order, so no entry
+# left by a claim called on its own is read, and in a finally after it, so
+# at most one order's results are alive and none outlives a run.  The
 # routes are looked up on their modules at call time, so a patched route is
 # the one computed.
 _order_memo: dict[tuple[str, int, int], object] = {}
@@ -471,11 +473,13 @@ def _claim_non_repetition(a, n):
         return f"a={a} k={k}"
 
 
-# caps keeping the quadratic oracles affordable inside one suite run
+# caps keeping the slow second routes affordable inside one suite run
 _BRUTE_C_CAP = 1500
 # the quadratic path routes (BFS, the path-count DP, the Liz-window recursion);
 # 2100 is the largest n of the golden verify reports, so they keep their bytes
 _PATH_ORACLE_CAP = 2100
+# the naive builder is linear in its output, but that output is Theta(n^2)
+# neighbor lists, and the golden verify reports print n=300
 _NAIVE_BUILD_CAP = 300
 _ZECK_ENUM_CAP = 2000
 _PATH_ENUM_CAP = 25
@@ -560,6 +564,7 @@ def verify_suite(a_min: int, a_max: int, n: int) -> VerificationReport:
     plans = [(claim, *_plan(claim, a_min, a_max, n)) for claim in _CLAIMS]
     found: list[str | None] = [None] * len(plans)
     for a in range(a_min, a_max + 1):
+        _order_memo.clear()
         try:
             for k, (claim, capped, orders, _) in enumerate(plans):
                 if found[k] is None and a in orders:

@@ -3,12 +3,14 @@
 Everything here recomputes a quantity straight from its definition with
 no shortcuts, to serve as the second route of every dual check: the
 least-k ascending scan for the c series, the per-insertion graph builder
-(which records ascending in- and out-neighbor lists per vertex, not a
-set of arcs), the per-vertex degree scan for the maximum degree, the
-out-degree sum of the edge count, exhaustive digit-string enumeration,
-breadth-first distances, explicit shortest-path enumeration, and the
-Liz-window recursion for path counts.  These are deliberately slow and
-are used by the verification suite and the test suite only.
+(which replays the arrivals in time linear in n plus its output and
+records ascending in- and out-neighbor lists per vertex, not a set of
+arcs), the per-vertex degree scan for the maximum degree, the out-degree
+sum of the edge count, exhaustive digit-string enumeration, breadth-first
+distances, explicit shortest-path enumeration, and the Liz-window
+recursion for path counts.  None of them reads the closed forms it
+checks; most are deliberately slow, and all are used by the verification
+suite and the test suite only.
 """
 
 from __future__ import annotations
@@ -37,8 +39,13 @@ def naive_build(a: int, n: int) -> tuple[list[list[int]], list[list[int]]]:
 
     When v_j arrives, every v_i with (a+1)*i - d_in(v_i) >= j gains an arc
     to it.  The in-degree of v_i is final once v_i has arrived, so that
-    bound is stored per vertex as cap[i] = (a+1)*i - d_in(v_i) on arrival,
-    and each later v_j tests every i < j against it.
+    bound cap[i] = (a+1)*i - d_in(v_i) is fixed on arrival, and v_i is a
+    tail of exactly the arrivals i+1..min(cap[i], n).  The replay keeps the
+    open vertices, those still gaining heads, in arrival order, and a
+    closing schedule keyed by cap[i] + 1: each arrival drops the vertices
+    that close at it and takes the rest as its tails.  That is O(n + arcs),
+    and it assumes nothing of the shape of the open set, so the tails of
+    v_j are whatever set the rule gives, contiguous or not.
     Returns (tails, heads), each indexed 0..n with empty lists at 0:
     tails[j] lists the v_i with an arc to v_j and heads[i] the v_j that v_i
     has an arc to, both ascending, so d_in(v_i) is len(tails[i]).
@@ -46,12 +53,20 @@ def naive_build(a: int, n: int) -> tuple[list[list[int]], list[list[int]]]:
     check_order(a)
     tails: list[list[int]] = [[] for _ in range(n + 1)]
     heads: list[list[int]] = [[] for _ in range(n + 1)]
-    cap = [0] * (n + 1)
+    # heads are slices of one list, so they share its int objects
+    vertices = list(range(n + 1))
+    open_: dict[int, None] = {}  # insertion order is arrival order
+    closing: dict[int, list[int]] = {}
     for j in range(1, n + 1):
-        tails[j] = [i for i in range(1, j) if cap[i] >= j]
-        for i in tails[j]:
-            heads[i].append(j)
-        cap[j] = (a + 1) * j - len(tails[j])
+        for i in closing.pop(j, ()):
+            del open_[i]
+        tails[j] = list(open_)
+        # d_in(v_j) <= j - 1, so cap > j: v_j gains at least the arc to v_{j+1}
+        cap = (a + 1) * j - len(tails[j])
+        heads[j] = vertices[j + 1 : min(cap, n) + 1]
+        open_[j] = None
+        if cap < n:
+            closing.setdefault(cap + 1, []).append(j)
     return tails, heads
 
 
@@ -130,10 +145,13 @@ def bfs_distances(g: JacoGraph) -> list[int]:
 def enumerate_shortest_paths(g: JacoGraph, target: int) -> list[tuple[int, ...]]:
     """Every shortest directed path v_1 -> v_target, as vertex tuples.
 
-    Plain backtracking without memoization, so the count is a genuine
-    enumeration rather than the dynamic program it checks.  Small n only.
+    Arcs only go forward, so every path to v_target stays inside
+    v_1..v_target: the distances come from a breadth-first search of the
+    prefix J_target, not of all of g.  Plain backtracking without
+    memoization, so the count is a genuine enumeration rather than the
+    dynamic program it checks.  Small n only.
     """
-    dist = bfs_distances(g)
+    dist = bfs_distances(JacoGraph(g.seq, target))
     paths: list[tuple[int, ...]] = []
 
     def back(j: int, suffix: tuple[int, ...]) -> None:

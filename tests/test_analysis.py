@@ -456,6 +456,19 @@ class TestVerifySuite:
         assert verify_suite(2, 2, 40).passed
         assert faulty_run() == faults
 
+    def test_no_entry_of_a_claim_called_alone_is_read(self, monkeypatch):
+        # a claim called outside a run fills the per-order memo; the next
+        # run must compute the route patched in between, not read that entry
+        assert analysis._claim_contiguity(1, 40) is None
+        real = oracles.naive_build
+        monkeypatch.setattr(oracles, "naive_build",
+                            lambda a, n: _toggle_arc(real(a, n), 8, 11))
+        report = verify_suite(1, 1, 40)
+        assert {c.claim_id: c.counterexample for c in report.claims if not c.passed} == {
+            "graph.arc_relation_matches_naive_builder": "a=1 arc=(8, 11)",
+            "graph.neighborhood_contiguity": "a=1 vertex=8",
+        }
+
     def test_rejects_bad_grid(self):
         with pytest.raises(ValueError):
             verify_suite(2, 1, 10)

@@ -56,6 +56,25 @@ class TestBuild:
             assert list(profile.d_in) == list(map(len, tails))
             assert list(profile.d_out_finite) == list(map(len, heads))
 
+    @pytest.mark.parametrize("a", [1, 2, 3, 4, 5, 6, 20])
+    def test_naive_builder_matches_literal_replay(self, a):
+        # every n <= 120; at a = 20 every vertex from v_6 on stays open to v_n
+        for n in range(121):
+            assert naive_build(a, n) == _literal_replay(a, n), f"n={n}"
+
+
+def _literal_replay(a, n):
+    """naive_build's rule replayed literally: each arrival v_j tests every i < j."""
+    tails = [[] for _ in range(n + 1)]
+    heads = [[] for _ in range(n + 1)]
+    cap = [0] * (n + 1)
+    for j in range(1, n + 1):
+        tails[j] = [i for i in range(1, j) if cap[i] >= j]
+        for i in tails[j]:
+            heads[i].append(j)
+        cap[j] = (a + 1) * j - len(tails[j])
+    return tails, heads
+
 
 class TestNeighborhoods:
     def test_out_examples(self):

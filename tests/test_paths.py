@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jaco import analysis, paths
-from jaco.graph import JacoGraph, build
+from jaco.graph import JacoGraph, build, out_neighbors
 from jaco.oracles import bfs_distances, enumerate_shortest_paths, psi_recursive
 from jaco.paths import (
     ConjectureReport,
@@ -54,6 +54,20 @@ class TestPsiOracle:
         psi = psi_oracle(g)
         for j in range(1, 26):
             assert psi[j] == len(enumerate_shortest_paths(g, j))
+
+    @pytest.mark.parametrize("a", [1, 2, 3, 4])
+    def test_enumeration_stays_in_the_prefix(self, a):
+        # every path to v_j lies in J_j: the graph and its prefix give the
+        # same paths, each a chain of arcs of the graph as long as the distance
+        g = build(a, 25)
+        dist = bfs_distances(g)
+        for j in range(1, 26):
+            found = enumerate_shortest_paths(g, j)
+            assert found == enumerate_shortest_paths(build(a, j), j), f"j={j}"
+            for path in found:
+                assert path[0] == 1 and path[-1] == j
+                assert len(path) == dist[j] + 1
+                assert all(w in out_neighbors(g, v) for v, w in zip(path, path[1:]))
 
     @pytest.mark.parametrize("a", [1, 2, 3, 4])
     def test_every_vertex_reachable(self, a):
