@@ -6,9 +6,10 @@ endings are a single newline.  Graphs are always rebuilt from (a, n), so
 there is no importer.
 
 The heads of v_i are the consecutive vertices i+1..r_i, so the graph
-renderers emit each tail's arcs as one block joined from a shared list of
-vertex names, with no per-arc formatting.  The whole text is still built
-in memory before it is returned.
+renderers emit each tail's arcs as one join over a shared list of vertex
+names, with no per-arc formatting.  Each graph renderer then builds its
+whole text with one more join over the header, those pieces and the
+footer, so the text is built once in memory, not streamed.
 """
 
 from __future__ import annotations
@@ -22,24 +23,30 @@ from .sequences import SequenceTable
 FORMATS = ("dot", "json", "csv")
 
 
-def _arc_text(g: JacoGraph, tail: str, end: str, gap: str = "") -> str:
-    """Every arc (i, j) as tail % i + str(j) + end, joined by gap, in order.
+def _arc_pieces(g: JacoGraph, tail: str, end: str, gap: str = "") -> list[str]:
+    """Pieces whose join is every arc (i, j) as tail % i + str(j) + end,
+    joined by gap, in order.
 
-    One str.join per tail: the heads i+1..r_i are a slice of the names list.
+    Each tail with arcs gives three pieces: tail % i, the heads i+1..r_i
+    (a slice of the names list) joined by end + gap + tail % i, and end;
+    one gap piece sits between tails.  No per-tail block or body string
+    is built, so the caller's one join is the only copy of the text.
     """
     names = list(map(str, range(g.n + 1)))
-    blocks = []
+    pieces: list[str] = []
     for i, r in enumerate(_last_heads(g), 1):
         if r > i:
             opening = tail % i
-            blocks.append(opening + (end + gap + opening).join(names[i + 1 : r + 1]) + end)
-    return gap.join(blocks)
+            if pieces:
+                pieces.append(gap)
+            pieces += (opening, (end + gap + opening).join(names[i + 1 : r + 1]), end)
+    return pieces
 
 
 def to_dot(g: JacoGraph) -> str:
     """Graphviz digraph, one arc per line; a lone v1 is still declared."""
-    body = _arc_text(g, "  v%d -> v", ";\n") or "  v1;\n"
-    return f"digraph jaco_a{g.a}_n{g.n} {{\n{body}}}\n"
+    pieces = _arc_pieces(g, "  v%d -> v", ";\n") or ["  v1;\n"]
+    return "".join([f"digraph jaco_a{g.a}_n{g.n} {{\n", *pieces, "}\n"])
 
 
 def to_json(g: JacoGraph) -> str:
@@ -63,13 +70,13 @@ def to_json(g: JacoGraph) -> str:
         "prime": info.prime_index,
         "hope": hope,
     })
-    edges = _arc_text(g, "[%d, ", "]", ", ")
-    return f'{before[:-1]}, "edges": [{edges}], {after[1:]}\n'
+    edges = _arc_pieces(g, "[%d, ", "]", ", ")
+    return "".join([f'{before[:-1]}, "edges": [', *edges, f"], {after[1:]}\n"])
 
 
 def to_csv(g: JacoGraph) -> str:
     """Arc list as CSV with a tail,head header."""
-    return "tail,head\n" + _arc_text(g, "%d,", "\n")
+    return "".join(["tail,head\n", *_arc_pieces(g, "%d,", "\n")])
 
 
 _SEQ_BLOCK = 2048  # rows per join in seq_dump

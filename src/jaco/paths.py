@@ -235,24 +235,34 @@ _VERDICTS = {
 }
 
 
+_CONJECTURE_BLOCK = 2048  # lines per join in render_conjecture
+
+
 def render_conjecture(report: ConjectureReport) -> str:
     """Line-oriented text form of a conjecture scan, one line per k:
 
         k=7 dplus=(4,4,5) psi=(2,2,1) forward=OK converse=OK
 
-    then a SUMMARY line.  Each value is formatted once and shared by the
-    three lines whose triples hold it, and the text is one join over the
-    pieces of every line in order, so no line string is built.
+    then a SUMMARY line.  The lines are joined _CONJECTURE_BLOCK at a
+    time.  A block of lines lo..hi-1 formats dplus[lo-1..hi] and
+    psi[lo-1..hi] once each, so each value is formatted once per block
+    (the two at a block's end once more in the next), and its text is one
+    join over the pieces of its lines, with no line string built.  Only
+    one block's pieces are alive at once besides the joined blocks.
     """
     n = report.n_max
-    d = list(map(str, report.dplus[6 : n + 1]))
-    p = list(map(str, report.psi[6 : n + 1]))
     verdicts = map(_VERDICTS.__getitem__, zip(*report._flags))
-    pieces = zip(
-        repeat("k="), map(str, range(7, n)),
-        repeat(" dplus=("), d, repeat(","), d[1:], repeat(","), d[2:],
-        repeat(") psi=("), p, repeat(","), p[1:], repeat(","), p[2:],
-        repeat(") "), verdicts,
-    )
-    summary = f"SUMMARY scanned=7..{n - 1} violations={report.violations}\n"
-    return "".join(chain(chain.from_iterable(pieces), (summary,)))
+    blocks = []
+    for lo in range(7, n, _CONJECTURE_BLOCK):
+        hi = min(lo + _CONJECTURE_BLOCK, n)
+        d = list(map(str, report.dplus[lo - 1 : hi + 1]))
+        p = list(map(str, report.psi[lo - 1 : hi + 1]))
+        pieces = zip(
+            repeat("k="), map(str, range(lo, hi)),
+            repeat(" dplus=("), d, repeat(","), d[1:], repeat(","), d[2:],
+            repeat(") psi=("), p, repeat(","), p[1:], repeat(","), p[2:],
+            repeat(") "), islice(verdicts, hi - lo),
+        )
+        blocks.append("".join(chain.from_iterable(pieces)))
+    blocks.append(f"SUMMARY scanned=7..{n - 1} violations={report.violations}\n")
+    return "".join(blocks)

@@ -273,6 +273,19 @@ class TestConjectureScan:
         with pytest.raises(ValueError):
             conjecture_scan(8)
 
+    def test_render_peak_stays_near_the_text(self):
+        # lines are joined in blocks, so no piece list or column of value
+        # strings over every line is alive at once
+        report = conjecture_scan(20_000)
+        tracemalloc.start()
+        try:
+            text = render_conjecture(report)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text.count("\n") == 20_000 - 7 + 1
+        assert peak <= 2.5 * len(text), f"peak {peak} text {len(text)}"
+
 
 def reference_conjecture(n_max, dplus, psi):
     """Rows, violation count and text of a scan, one row at a time."""
@@ -322,10 +335,19 @@ class TestSyntheticConjectureReport:
         assert lines[5] == "k=12 dplus=(2,1,2) psi=(1,2,2) forward=VIOLATION converse=OK"
         assert lines[6] == "SUMMARY scanned=7..12 violations=4"
 
-    @pytest.mark.parametrize("seed", range(8))
-    def test_random_columns_match_the_row_reference(self, seed):
+    @pytest.mark.parametrize("seed,n_max", [
+        *(pytest.param(seed, None, id=str(seed)) for seed in range(8)),
+        # n_max - 7 lines, 2047-2049 and 4095-4098: around the edges of
+        # the first and second 2048-line blocks
+        *(
+            pytest.param(n_max, n_max, id=f"n_max={n_max}")
+            for n_max in (2054, 2055, 2056, 4102, 4103, 4104, 4105)
+        ),
+    ])
+    def test_random_columns_match_the_row_reference(self, seed, n_max):
         rng = random.Random(seed)
-        n_max = rng.randrange(9, 300)
+        if n_max is None:
+            n_max = rng.randrange(9, 300)
         dplus = tuple(rng.randrange(3) for _ in range(n_max + 1))
         psi = tuple(rng.randrange(3) * 10**rng.randrange(30) for _ in range(n_max + 1))
         report = ConjectureReport(dplus, psi)
