@@ -10,6 +10,10 @@ Vertex indexing is 1-based throughout.
 The cut at v_n: by the definition of c, a*i + c[i] >= n exactly when
 i >= c[n], so that min is a*i + c[i] below c[n] and n from c[n] on.
 
+Every in-, out- and total degree lies in 0..n (the underlying graph is
+simple), so degree_profile's three columns point into one list of the
+ints 0..n: a profile holds one int object per vertex, not three.
+
 The maximum degree of each prefix J_m(a) is a closed form in c:
 _jaconian_at(seq, m) returns it as three ints (delta, first, last).  The
 vertices attaining delta form the contiguous run v_first..v_last, and the
@@ -49,7 +53,10 @@ class DegreeProfile:
     """Per-vertex degrees, index 0 unused.
 
     d_out_finite truncates the infinite out-degree at the vertex cap n;
-    d_total is the degree in the underlying undirected simple graph.
+    d_total is the degree in the underlying undirected simple graph.  Every
+    degree lies in 0..n, and degree_profile points all three columns into
+    one list of those ints, so a profile holds one int object per vertex,
+    not three.
     """
 
     d_in: tuple[int, ...]
@@ -116,14 +123,24 @@ def arcs(g: JacoGraph) -> Iterator[tuple[int, int]]:
 
 
 def degree_profile(g: JacoGraph) -> DegreeProfile:
-    """In-, finite out- and total degree of every vertex of J_n(a)."""
+    """In-, finite out- and total degree of every vertex of J_n(a).
+
+    Every degree lies in 0..n, so the three columns take their entries
+    from one list, ints = [0, 1, ..., n]: a profile holds one int object
+    per vertex, not three.  With k = c[n], by the cut at v_n:
+
+        d_in[i]         = i - c[i]
+        d_out_finite[i] = (a-1)*i + c[i] below k,   n - i from k on,
+        d_total[i]      = a*i             below k,   n - c[i] from k on.
+
+    Index 0 comes out as 0 in each column because c[0] = 0.
+    """
     a, n, c = g.a, g.n, g.seq.c
-    # by the cut at v_n, the out-degree is (a-1)*i + c[i] below c[n] and
-    # n - i from it.  Index 0 comes out as 0 because c[0] = 0.
     k = c[n]
-    d_in = tuple([i - c[i] for i in range(n + 1)])
-    d_out = tuple([(a - 1) * i + c[i] for i in range(k)] + list(range(n - k, -1, -1)))
-    d_tot = tuple(map(operator.add, d_in, d_out))
+    ints = list(range(n + 1))
+    d_in = tuple([ints[i - ci] for i, ci in zip(range(n + 1), c)])
+    d_out = tuple([ints[(a - 1) * i + c[i]] for i in range(k)] + ints[n - k :: -1])
+    d_tot = tuple(ints[0 : a * k : a] + [ints[n - ci] for ci in c[k : n + 1]])
     return DegreeProfile(d_in, d_out, d_tot)
 
 

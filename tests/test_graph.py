@@ -128,6 +128,58 @@ class TestDegreeProfile:
             if g.seq.reach[i] <= g.n:
                 assert profile.d_total[i] == a * i
 
+    @pytest.mark.parametrize("a", range(1, 9))
+    def test_columns_match_the_reference(self, a):
+        for n in range(1, 301):
+            _assert_reference_columns(build(a, n))
+
+    @pytest.mark.parametrize("a", [1, 2, 3, 7])
+    def test_prefix_views_match_the_reference(self, a):
+        seq = c_series(a, 600)
+        for m in range(1, 601):
+            _assert_reference_columns(JacoGraph(seq, m))
+
+    @given(a=st.integers(1, 40), n=st.integers(1, 5000), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_columns_match_the_reference_property(self, a, n, data):
+        seq = c_series(a, n)
+        for m in {n, data.draw(st.integers(1, n))}:
+            _assert_reference_columns(JacoGraph(seq, m))
+
+    @pytest.mark.parametrize("a", [1, 2, 3, 5, 8])
+    def test_profile_memory_per_vertex(self, a):
+        # the columns share one int per degree value; three ints per vertex
+        # (one per column) would retain about 120 bytes per vertex
+        n = 20_000
+        g = build(a, n)
+        tracemalloc.start()
+        try:
+            profile = degree_profile(g)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(profile.d_total) == n + 1
+        assert retained <= 64 * n, f"retained {retained / n:.1f} B/vertex"
+        assert peak <= 90 * n, f"peak {peak / n:.1f} B/vertex"
+
+
+def _reference_columns(g):
+    """degree_profile's three columns, one fresh int per entry."""
+    a, n, c = g.a, g.n, g.seq.c
+    k = c[n]
+    d_in = [i - c[i] for i in range(n + 1)]
+    d_out = [(a - 1) * i + c[i] for i in range(k)] + list(range(n - k, -1, -1))
+    d_tot = [x + y for x, y in zip(d_in, d_out)]
+    return d_in, d_out, d_tot
+
+
+def _assert_reference_columns(g):
+    profile = degree_profile(g)
+    got = (profile.d_in, profile.d_out_finite, profile.d_total)
+    for name, column, want in zip(("d_in", "d_out_finite", "d_total"), got, _reference_columns(g)):
+        assert type(column) is tuple and len(column) == g.n + 1, f"{name} a={g.a} n={g.n}"
+        assert list(column) == want, f"{name} a={g.a} n={g.n}"
+
 
 class TestJaconian:
     def test_examples(self):
