@@ -9,7 +9,6 @@ over generalized Zeckendorf digit expansions.
 from .analysis import (
     TheoremViolationError,
     VerificationReport,
-    complete_prefix_count,
     edge_count_recursive,
     edge_count_theorem,
     milestone_delta,
@@ -48,8 +47,6 @@ from .sequences import (
     c_beatty,
     c_closed,
     c_series,
-    liz_terms,
-    lucas_terms,
     tau,
     zeck_decode,
     zeck_encode,
@@ -72,7 +69,6 @@ __all__ = [
     "c_beatty",
     "c_closed",
     "c_series",
-    "complete_prefix_count",
     "conjecture_scan",
     "degree_profile",
     "distances",
@@ -82,8 +78,6 @@ __all__ = [
     "hope_is_complete",
     "in_neighbors",
     "jaconian",
-    "liz_terms",
-    "lucas_terms",
     "milestone_delta",
     "out_neighbors",
     "path_table",

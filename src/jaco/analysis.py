@@ -108,14 +108,6 @@ def edge_count_recursive(a: int, n_max: int) -> list[int]:
     return eps
 
 
-def complete_prefix_count(a: int, m: int) -> int:
-    """Edge total m(m-1)/2 of the complete prefix, valid for m <= a + 1."""
-    check_order(a)
-    if not 1 <= m <= a + 1:
-        raise ValueError(f"complete-prefix formula requires 1 <= m <= a+1, got m={m}")
-    return m * (m - 1) // 2
-
-
 def milestone_delta(a: int) -> int:
     """n*, the smallest n where the maximum degree reaches a(a+1) and is
     attained by v_{a+1} alone.  The search is bounded at twice the predicted
@@ -165,9 +157,10 @@ def _psi_oracle(g):
 
 
 def _claim_seed_values(a, n):
-    seq = sequences.c_series(a, n)
-    if seq.c[0] != 0 or seq.c[1] != 1:
-        return f"a={a} c[0]={seq.c[0]} c[1]={seq.c[1]}"
+    # two terms are the whole claim, so the table stops at c[1] whatever n is
+    c = sequences.c_series(a, 1).c
+    if c[0] != 0 or c[1] != 1:
+        return f"a={a} c[0]={c[0]} c[1]={c[1]}"
 
 
 def _claim_degree_identity(a, n):
@@ -257,9 +250,10 @@ def _claim_binet(a, n):
     # exact-after-rounding region is bounded by U_n * n, not by U_n alone
     r = a / 2 + (a * a / 4 + 1) ** 0.5
     s = a / 2 - (a * a / 4 + 1) ** 0.5
-    terms = sequences.lucas_terms(a, 90)
+    # the last term is >= 2^50, so the bound below ends the loop within the list
+    terms = sequences.recurrence_terms(a, 0, 1, at_least=2**50)
     m = 2
-    while m < len(terms) and terms[m] * m < 2**50:
+    while terms[m] * m < 2**50:
         if terms[m] != round((r**m - s**m) / (r - s)):
             return f"a={a} n={m}"
         m += 1
@@ -388,7 +382,7 @@ def _claim_edge_triple(a, n):
 
 def _claim_complete_prefix_count(a, n):
     for m in range(1, a + 2):
-        if edge_count_direct(build(a, m)) != complete_prefix_count(a, m):
+        if edge_count_direct(build(a, m)) != m * (m - 1) // 2:
             return f"a={a} m={m}"
 
 
@@ -527,6 +521,7 @@ _CLAIMS: tuple[_Claim, ...] = (
            _claim_lowest_in_neighbor_attains_delta),
     _Claim("graph.hope_complete", "n[1..{n}]", _claim_hope_complete),
     _Claim("analysis.edge_count_triple_agreement", "n[1..{n}]", _claim_edge_triple),
+    # the id names the theorem m(m-1)/2, not a function; it is kept for the report bytes
     _Claim("analysis.complete_prefix_count", "m<=a+1", _claim_complete_prefix_count),
     _Claim("analysis.milestone_delta", "", _claim_milestone, a_cap=_MILESTONE_A_CAP),
     _Claim("paths.distance_recursion_matches_bfs", "n={n}", _claim_distances,

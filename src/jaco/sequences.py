@@ -40,9 +40,10 @@ fits it, so order-1 digits cost no division; decoding and the closed
 form are one C-iterator dot product of the nonzero digits with their
 basis terms.
 All arithmetic is exact (Python integers widen as needed).  Every
-sequence obeying x[i+1] = a*x[i] + x[i-1] (the Lucas basis, the Liz
-numbers, the Fibonacci numbers) comes from one cached builder,
-recurrence_terms.
+sequence obeying x[i+1] = a*x[i] + x[i-1] comes from one cached builder,
+recurrence_terms, the one route to each: the Lucas basis U_0, U_1, ... is
+recurrence_terms(a, 0, 1) and the Liz numbers B_1, B_2, ... are
+recurrence_terms(a, 1, 1); at a = 1 both are the Fibonacci numbers.
 """
 
 from __future__ import annotations
@@ -99,23 +100,6 @@ def recurrence_terms(a: int, x0: int, x1: int, *, count: int = 0, at_least: int 
     while len(terms) < count or terms[-1] < at_least:
         terms.append(a * terms[-1] + terms[-2])
     return terms
-
-
-def lucas_terms(a: int, m: int) -> tuple[int, ...]:
-    """(U_0, ..., U_m) of U(a, -1): U_0 = 0, U_1 = 1, U_{n+1} = a*U_n + U_{n-1}."""
-    check_order(a)
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    return tuple(recurrence_terms(a, 0, 1, count=m + 1)[: m + 1])
-
-
-def liz_terms(a: int, m: int) -> tuple[int, ...]:
-    """Liz numbers (B_0, ..., B_m); for a = 1 these are the Fibonacci numbers."""
-    check_order(a)
-    if m < 2:
-        raise ValueError(f"m must be >= 2, got {m}")
-    # B_0 = 0 stands outside the recurrence, which starts at B_1 = B_2 = 1
-    return (0, *recurrence_terms(a, 1, 1, count=m)[:m])
 
 
 def c_series(a: int, horizon: int) -> SequenceTable:

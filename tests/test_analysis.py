@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from jaco import analysis, graph, oracles, paths, sequences
 from jaco.analysis import (
     TheoremViolationError,
-    complete_prefix_count,
     edge_count_direct,
     edge_count_recursive,
     edge_count_theorem,
@@ -85,19 +84,16 @@ class TestEdgeCounts:
 
 
 class TestCompletePrefixCount:
+    # J_m(a) is complete for m <= a + 1, so it has m(m-1)/2 arcs
     def test_examples(self):
-        assert complete_prefix_count(2, 3) == 3
-        assert complete_prefix_count(5, 1) == 0
-        assert complete_prefix_count(1, 2) == 1
-
-    def test_domain_error_beyond_prefix(self):
-        with pytest.raises(ValueError):
-            complete_prefix_count(2, 4)
+        assert edge_count_direct(build(2, 3)) == 3
+        assert edge_count_direct(build(5, 1)) == 0
+        assert edge_count_direct(build(1, 2)) == 1
 
     @pytest.mark.parametrize("a", list(range(1, 11)))
     def test_matches_graph(self, a):
         for m in range(1, a + 2):
-            assert edge_count_direct(build(a, m)) == complete_prefix_count(a, m)
+            assert edge_count_direct(build(a, m)) == m * (m - 1) // 2
 
 
 class TestMilestone:
@@ -563,6 +559,21 @@ def test_degree_identity_counts_out_degrees_from_the_in_windows(monkeypatch):
     assert analysis._claim_degree_identity(2, 50) is None
     monkeypatch.setattr(analysis.sequences, "c_series", _flat_table)
     assert analysis._claim_degree_identity(2, 50) == "a=2 n=1"
+
+
+def test_seed_values_claim_builds_two_terms_whatever_n(monkeypatch):
+    # the claim reads c[0] and c[1] only; a table to n = 10**6 would be
+    # millions of terms for a check that needs two
+    horizons = []
+    real_table = analysis.sequences.c_series
+
+    def table(a, horizon):
+        horizons.append(horizon)
+        return real_table(a, horizon)
+
+    monkeypatch.setattr(analysis.sequences, "c_series", table)
+    assert analysis._claim_seed_values(2, 10**6) is None
+    assert horizons and max(horizons) <= 1
 
 
 @pytest.mark.parametrize("a", [1, 2])

@@ -49,3 +49,12 @@ def test_order_one_only_path_names_are_gone():
         assert not hasattr(jaco, name)
         for path in SRC.glob("*.py"):
             assert name not in path.read_text(), f"{name} in {path.name}"
+
+
+def test_retired_wrappers_are_gone():
+    # the Lucas basis and the Liz numbers come from recurrence_terms, and the
+    # complete-prefix edge total m(m-1)/2 is checked against edge_count_direct
+    for name in ("lucas_terms", "liz_terms", "complete_prefix_count"):
+        assert name not in jaco.__all__
+        for module in (jaco, jaco.sequences, jaco.analysis):
+            assert not hasattr(module, name), f"{module.__name__}.{name}"

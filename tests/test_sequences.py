@@ -14,8 +14,7 @@ from jaco.sequences import (
     c_beatty,
     c_closed,
     c_series,
-    liz_terms,
-    lucas_terms,
+    recurrence_terms,
     tau,
     validate_digits,
     zeck_decode,
@@ -24,6 +23,7 @@ from jaco.sequences import (
 
 
 class TestLucasTerms:
+    # the Lucas basis U_0, U_1, ... of U(a, -1) is recurrence_terms(a, 0, 1)
     @pytest.mark.parametrize(
         "a,m,expected",
         [
@@ -33,23 +33,19 @@ class TestLucasTerms:
         ],
     )
     def test_known_prefixes(self, a, m, expected):
-        assert list(lucas_terms(a, m)) == expected
+        assert recurrence_terms(a, 0, 1, count=m + 1)[: m + 1] == expected
 
     def test_strictly_increasing_from_u1(self):
         for a in range(1, 6):
-            terms = lucas_terms(a, 30)
+            terms = recurrence_terms(a, 0, 1, count=31)
             start = 2 if a == 1 else 1  # a=1 allows the single tie U_1 = U_2
             for i in range(start, 30):
                 assert terms[i + 1] > terms[i]
 
-    def test_rejects_bad_args(self):
-        with pytest.raises(ValueError):
-            lucas_terms(0, 5)
-        with pytest.raises(ValueError):
-            lucas_terms(2, 0)
-
 
 class TestLizTerms:
+    # the Liz numbers B_1, B_2, ... are recurrence_terms(a, 1, 1); B_0 = 0
+    # stands outside the recurrence
     @pytest.mark.parametrize(
         "a,m,expected",
         [
@@ -59,14 +55,11 @@ class TestLizTerms:
         ],
     )
     def test_known_prefixes(self, a, m, expected):
-        assert list(liz_terms(a, m)) == expected
+        assert [0, *recurrence_terms(a, 1, 1, count=m)[:m]] == expected
 
     def test_order_one_is_fibonacci(self):
-        assert liz_terms(1, 20) == lucas_terms(1, 20)
-
-    def test_rejects_short_request(self):
-        with pytest.raises(ValueError):
-            liz_terms(2, 1)
+        liz = recurrence_terms(1, 1, 1, count=20)[:20]
+        assert [0, *liz] == recurrence_terms(1, 0, 1, count=21)[:21]
 
 
 class TestCSeries:
@@ -306,7 +299,7 @@ class TestDigitKernelProperties:
 
     @pytest.mark.parametrize("a", [1, 2, 3])
     def test_decode_raises_exactly_where_validation_does(self, a):
-        terms = lucas_terms(a, 6)
+        terms = recurrence_terms(a, 0, 1, count=7)
         for length in range(6):
             for digits in product(range(-1, a + 2), repeat=length):
                 error = _error_of(lambda: validate_digits(a, digits))
@@ -318,7 +311,6 @@ class TestDigitKernelProperties:
 
 class TestBasisCacheIsolation:
     def test_public_results_are_immutable_tuples(self):
-        assert isinstance(lucas_terms(2, 5), tuple)
         assert isinstance(c_series(2, 5).c, tuple)
         assert isinstance(zeck_encode(2, 9), tuple)
 
