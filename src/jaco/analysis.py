@@ -32,10 +32,9 @@ vertex is complete.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain, compress, repeat, takewhile, zip_longest
 from operator import eq, ne
-from typing import Callable
 
 from . import graph as graph_mod
 from . import oracles
@@ -59,20 +58,21 @@ class TheoremViolationError(RuntimeError):
     """A search exhausted its bound without finding a guaranteed witness."""
 
 
-@dataclass(frozen=True)
-class ClaimResult:
-    claim_id: str
-    checked: str
-    counterexample: str | None
+class ClaimResult(namedtuple("ClaimResult", "claim_id checked counterexample")):
+    """One claim's outcome: its id, the checked grid and its first
+    counterexample, or None when it passed."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
         return self.counterexample is None
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    claims: tuple[ClaimResult, ...]
+class VerificationReport(namedtuple("VerificationReport", "claims")):
+    """The ClaimResults of a suite run, in registry order."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -480,19 +480,14 @@ _PATH_ENUM_CAP = 25
 _MILESTONE_A_CAP = 20
 
 
-@dataclass(frozen=True)
-class _Claim:
+class _Claim(namedtuple("_Claim", "claim_id tail fn n_cap a_cap", defaults=(None, None))):
     """A registered claim: fn(a, n) checks one order a up to n.
 
     tail is the checked text after the grid, formatted with the capped n.
-    n_cap and a_cap cut the range short.
+    n_cap and a_cap, None by default, cut the range short.
     """
 
-    claim_id: str
-    tail: str
-    fn: Callable[[int, int], str | None]
-    n_cap: int | None = None
-    a_cap: int | None = None
+    __slots__ = ()
 
 
 _CLAIMS: tuple[_Claim, ...] = (

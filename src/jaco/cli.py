@@ -18,7 +18,6 @@ import functools
 import os
 import stat
 import sys
-import tempfile
 
 from . import analysis, export, paths, sequences
 from .graph import build
@@ -146,6 +145,8 @@ def _write_atomic(text: str, out: str) -> None:
         with open(target, "w", encoding="utf-8", newline="") as handle:
             _write_text(handle, text)
         return
+    import tempfile  # here, not at the top: only --out to a regular file needs it
+
     fd, tmp = tempfile.mkstemp(prefix=".jaco-", suffix=".tmp", dir=os.path.dirname(target))
     try:
         with open(fd, "w", encoding="utf-8", newline="") as handle:
@@ -227,6 +228,11 @@ _HANDLERS = {
     "milestone": _cmd_milestone,
     "conjecture": _cmd_conjecture,
 }
+
+
+# built with the rest of startup, not inside the first call, so the first
+# main() of a process costs what every later one does
+_build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:

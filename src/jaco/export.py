@@ -14,7 +14,6 @@ footer, so the text is built once in memory, not streamed.
 
 from __future__ import annotations
 
-import json
 from itertools import islice
 
 from .graph import JacoGraph, _last_heads, degree_profile, jaconian
@@ -57,6 +56,8 @@ def to_json(g: JacoGraph) -> str:
     The edges array is joined here in json.dumps' default ", " style; the
     rest goes through json.dumps.
     """
+    import json  # here, not at the top: only this renderer needs it
+
     profile = degree_profile(g)
     info = jaconian(g)
     hope = [info.hope_range[0], info.hope_range[-1]] if len(info.hope_range) else None

@@ -20,36 +20,46 @@ vertices attaining delta form the contiguous run v_first..v_last, and the
 Hope range above the prime index first is first+1..m, so only the public
 jaconian(g) spells them out as a JaconianInfo record; the prefix walkers
 in analysis read the ints.
+
+The records are immutable: a JacoGraph is a frozen __slots__ object over
+its table and n, and DegreeProfile and JaconianInfo are named tuples, which
+_replace copies with a field changed.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterator
 from itertools import chain, repeat
-from typing import Iterator
 
-from .sequences import SequenceTable, c_series
+from .sequences import SequenceTable, _Record, c_series
 
 
-@dataclass(frozen=True)
-class JacoGraph:
-    """A finite Jaco graph on vertices v_1..v_n: a prefix of its table, of its order."""
+class JacoGraph(_Record):
+    """A finite Jaco graph on vertices v_1..v_n: a prefix of its table, of its order.
 
-    seq: SequenceTable
-    n: int
+    A frozen __slots__ record (see sequences._Record): it refuses, when it
+    is built, a view that does not lie within its table.
+    """
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.n < len(self.seq.c):
-            raise ValueError(f"vertex count n must be in 1..{len(self.seq.c) - 1}, got {self.n}")
+    __slots__ = _fields = ("seq", "n")
+
+    def __init__(self, seq: SequenceTable, n: int):
+        if not 1 <= n < len(seq.c):
+            raise ValueError(f"vertex count n must be in 1..{len(seq.c) - 1}, got {n}")
+        _set_seq(self, seq)
+        _set_n(self, n)
 
     @property
     def a(self) -> int:
         return self.seq.a
 
 
-@dataclass(frozen=True)
-class DegreeProfile:
+_set_seq, _set_n = JacoGraph.seq.__set__, JacoGraph.n.__set__
+
+
+class DegreeProfile(namedtuple("DegreeProfile", "d_in d_out_finite d_total")):
     """Per-vertex degrees, index 0 unused.
 
     d_out_finite truncates the infinite out-degree at the vertex cap n;
@@ -59,23 +69,19 @@ class DegreeProfile:
     not three.
     """
 
-    d_in: tuple[int, ...]
-    d_out_finite: tuple[int, ...]
-    d_total: tuple[int, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class JaconianInfo:
+class JaconianInfo(namedtuple("JaconianInfo", "delta jaconian_set hope_range")):
     """Maximum degree and the vertices attaining it.
 
-    prime_index, the lowest index attaining delta, is jaconian_set[0];
-    hope_range is the (always complete) induced subgraph above it, empty
+    delta is an int and jaconian_set a tuple of vertex indices; the prime
+    index, the lowest index attaining delta, is jaconian_set[0]; hope_range
+    is the range of the (always complete) induced subgraph above it, empty
     when prime = n.
     """
 
-    delta: int
-    jaconian_set: tuple[int, ...]
-    hope_range: range
+    __slots__ = ()
 
     @property
     def prime_index(self) -> int:

@@ -51,30 +51,30 @@ increases, so (N) reads c, not dplus.  Proof sketch:
 
 uniqueness_check compares (U) vertex by vertex, and conjecture_scan still
 scans (N) at order 1 line by line, now as an empirical check of a theorem.
+
+The records are immutable: PathTable and UniquenessReport are named tuples,
+which _replace copies with a field changed, and ConjectureReport is a
+frozen __slots__ object that keeps its two flag columns once computed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from collections import namedtuple
+from collections.abc import Iterator
 from itertools import accumulate, chain, compress, islice, repeat
 from operator import and_, ne, sub
-from typing import Iterator
 
 from .graph import JacoGraph, build
-from .sequences import recurrence_terms
+from .sequences import _Record, recurrence_terms
 
 
-@dataclass(frozen=True)
-class PathTable:
+class PathTable(namedtuple("PathTable", "dist psi")):
     """Distances from v_1 and shortest-path counts, index 0 unused."""
 
-    dist: tuple[int, ...]
-    psi: tuple[int, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class UniquenessReport:
+class UniquenessReport(namedtuple("UniquenessReport", "unique criterion mismatches")):
     """Per-vertex comparison of path uniqueness with the Liz criterion (U).
 
     unique[j] is whether v_j has exactly one shortest path from v_1;
@@ -83,13 +83,10 @@ class UniquenessReport:
     theorem says never happens.
     """
 
-    unique: tuple[bool, ...]
-    criterion: tuple[bool, ...]
-    mismatches: tuple[int, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ConjectureReport:
+class ConjectureReport(_Record):
     """Scan of the non-repetitiveness biconditional for 7 <= k <= n_max - 1.
 
     Holds the two columns the scan reads, dplus[0..n_max] and psi[0..n_max],
@@ -99,20 +96,30 @@ class ConjectureReport:
     equal.  Each row is (k, dplus triple, psi triple, forward ok, converse
     ok); forward is "dplus non-repetitive implies psi non-repetitive" and
     converse the reverse implication.  Nothing is asserted: violations are
-    report content.
+    report content.  The two flag columns that rows, violations and
+    render_conjecture read are computed on first use and kept.
     """
 
-    dplus: tuple[int, ...]
-    psi: tuple[int, ...]
+    __slots__ = ("dplus", "psi", "_flag_columns")
+    _fields = ("dplus", "psi")
+
+    def __init__(self, dplus: tuple[int, ...], psi: tuple[int, ...]):
+        _set_dplus(self, dplus)
+        _set_psi(self, psi)
 
     @property
     def n_max(self) -> int:
         return len(self.psi) - 1
 
-    @cached_property
+    @property
     def _flags(self) -> tuple[list[bool], list[bool]]:
         """Whether the dplus and the psi triple at k are non-repetitive, k = 7..n_max-1."""
-        return _non_repetitive(self.dplus, self.n_max), _non_repetitive(self.psi, self.n_max)
+        try:
+            return self._flag_columns
+        except AttributeError:
+            flags = _non_repetitive(self.dplus, self.n_max), _non_repetitive(self.psi, self.n_max)
+            _set_flags(self, flags)
+            return flags
 
     @property
     def rows(self) -> tuple[tuple[int, tuple[int, int, int], tuple[int, int, int], bool, bool], ...]:
@@ -127,6 +134,12 @@ class ConjectureReport:
     def violations(self) -> int:
         # forward fails where only dplus is non-repetitive, converse where only psi is
         return sum(map(ne, *self._flags))
+
+
+_set_dplus, _set_psi, _set_flags = (
+    ConjectureReport.dplus.__set__, ConjectureReport.psi.__set__,
+    ConjectureReport._flag_columns.__set__,
+)
 
 
 def _non_repetitive(x: tuple[int, ...], n_max: int) -> list[bool]:

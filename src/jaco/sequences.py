@@ -49,8 +49,6 @@ recurrence_terms(a, 1, 1); at a = 1 both are the Fibonacci numbers.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
-from functools import cached_property
 from itertools import compress, islice
 from math import isqrt
 from operator import mul
@@ -70,20 +68,75 @@ def check_order(a: int) -> None:
         raise ValueError(f"order a must be >= 1, got {a}")
 
 
-@dataclass(frozen=True)
-class SequenceTable:
-    """The series c[0], c[1], ... of order a; the reach column is computed on demand.
+class _Record:
+    """Base of the records that carry behaviour: __slots__ objects, frozen.
 
-    reach[n] = a*n + c[n].  The in-degree n - c[n] and the out-degree
-    (a-1)*n + c[n] have no column: their readers take them inline from c.
+    A subclass lists its fields in _fields and sets each once in its
+    __init__ through the slot's own setter, Cls.field.__set__, which
+    bypasses the frozen __setattr__ (and costs less than
+    object.__setattr__); any later assignment or deletion raises
+    AttributeError.  Two records are equal when they have the same
+    type and equal fields, and a record is copied or pickled by calling
+    its class on its fields.  A slot outside _fields may hold a value
+    derived from the fields, set once on first read.
     """
 
-    a: int
-    c: tuple[int, ...]
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
 
-    @cached_property
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self._fields))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class SequenceTable(_Record):
+    """The series c[0], c[1], ... of order a; the reach column is computed on demand.
+
+    reach[n] = a*n + c[n], computed on first access and kept.  The in-degree
+    n - c[n] and the out-degree (a-1)*n + c[n] have no column: their readers
+    take them inline from c.
+    """
+
+    __slots__ = ("a", "c", "_reach")
+    _fields = ("a", "c")
+
+    def __init__(self, a: int, c: tuple[int, ...]):
+        _set_a(self, a)
+        _set_c(self, c)
+
+    @property
     def reach(self) -> tuple[int, ...]:
-        return tuple(self.a * n + cn for n, cn in enumerate(self.c))
+        try:
+            return self._reach
+        except AttributeError:
+            reach = tuple(self.a * n + cn for n, cn in enumerate(self.c))
+            _set_reach(self, reach)
+            return reach
+
+
+_set_a, _set_c, _set_reach = (
+    SequenceTable.a.__set__, SequenceTable.c.__set__, SequenceTable._reach.__set__,
+)
 
 
 # Terms of x[i+1] = a*x[i] + x[i-1] per (a, x[0], x[1]), grown on demand.
@@ -96,7 +149,9 @@ def recurrence_terms(a: int, x0: int, x1: int, *, count: int = 0, at_least: int 
     The list holds at least count terms and its last term is >= at_least.
     It is shared between callers and must not be mutated.
     """
-    terms = _TERMS_CACHE.setdefault((a, x0, x1), [x0, x1])
+    terms = _TERMS_CACHE.get((a, x0, x1))
+    if terms is None:
+        terms = _TERMS_CACHE[a, x0, x1] = [x0, x1]
     while len(terms) < count or terms[-1] < at_least:
         terms.append(a * terms[-1] + terms[-2])
     return terms

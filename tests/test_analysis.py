@@ -1,4 +1,3 @@
-import dataclasses
 from bisect import insort
 from collections import Counter
 from itertools import chain
@@ -178,7 +177,7 @@ class TestVerifySuite:
             ),
             pytest.param(
                 (analysis.paths_mod, "path_table"),
-                lambda real: lambda g: dataclasses.replace(real(g), psi=tuple(
+                lambda real: lambda g: real(g)._replace(psi=tuple(
                     p + (g.n == 40 and j == 8) for j, p in enumerate(real(g).psi)
                 )),
                 (1, 1, 40),
@@ -227,7 +226,7 @@ class TestVerifySuite:
             ),
             pytest.param(
                 (analysis.oracles, "jaconian_scan"),
-                lambda real: lambda g: dataclasses.replace(real(g), delta=real(g).delta + 1),
+                lambda real: lambda g: real(g)._replace(delta=real(g).delta + 1),
                 (1, 1, 40),
                 {"graph.monotone_delta": "a=1 n=40 sweep differs from full scan"},
                 id="jaconian_scan",
@@ -235,7 +234,7 @@ class TestVerifySuite:
             pytest.param(
                 (analysis.graph_mod, "jaconian"),
                 lambda real: lambda g: (
-                    dataclasses.replace(real(g), hope_range=range(1, g.n + 1))
+                    real(g)._replace(hope_range=range(1, g.n + 1))
                     if g.n == 20 else real(g)
                 ),
                 (1, 1, 40),
@@ -388,7 +387,7 @@ class TestVerifySuite:
         assert analysis._PATH_ORACLE_CAP >= 2100
         # the registry holds the cap's value, so lower it there
         lowered = tuple(
-            dataclasses.replace(c, n_cap=40) if c.claim_id in ids else c
+            c._replace(n_cap=40) if c.claim_id in ids else c
             for c in analysis._CLAIMS
         )
         monkeypatch.setattr(analysis, "_CLAIMS", lowered)
@@ -445,7 +444,7 @@ class TestVerifySuite:
 
         with monkeypatch.context() as m:
             m.setattr(analysis, "_CLAIMS",
-                      (*analysis._CLAIMS[:-1], dataclasses.replace(last, fn=raising)))
+                      (*analysis._CLAIMS[:-1], last._replace(fn=raising)))
             with pytest.raises(RuntimeError, match="injected"):
                 verify_suite(1, 3, 40)
         assert faulty_run() == faults
@@ -507,9 +506,9 @@ def test_prefix_walkers_build_no_jaconian_record(monkeypatch):
     built = []
 
     class Counted(graph.JaconianInfo):
-        def __init__(self, *args):
+        def __new__(cls, *args):
             built.append(args)
-            super().__init__(*args)
+            return super().__new__(cls, *args)
 
     monkeypatch.setattr(graph, "JaconianInfo", Counted)
     milestone_delta(12)

@@ -1,7 +1,13 @@
 import ast
+import pickle
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 import jaco
+from jaco import analysis, graph, paths, sequences
 
 SRC = Path(jaco.__file__).parent
 
@@ -58,3 +64,66 @@ def test_retired_wrappers_are_gone():
         assert name not in jaco.__all__
         for module in (jaco, jaco.sequences, jaco.analysis):
             assert not hasattr(module, name), f"{module.__name__}.{name}"
+
+
+# modules that importing jaco.cli once loaded and startup does not need:
+# dataclasses (with inspect behind it), typing, tempfile and json
+STARTUP_ONLY = ("dataclasses", "inspect", "typing", "tempfile", "json")
+
+
+def test_cli_import_loads_no_startup_only_module():
+    # -S skips site, so sys.modules holds only what importing jaco.cli loads
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import jaco.cli; "
+        "print(jaco.__file__); print(' '.join(sorted(sys.modules)))"
+    )
+    run = subprocess.run([sys.executable, "-S", "-c", code, str(SRC.parent)],
+                         capture_output=True, text=True, check=True)
+    where, modules = run.stdout.splitlines()
+    assert Path(where).parent == SRC
+    assert sorted(set(modules.split()) & set(STARTUP_ONLY)) == []
+
+
+def _records():
+    g = graph.build(2, 30)
+    report = analysis.verify_suite(1, 1, 10)
+    return {
+        "SequenceTable": g.seq,
+        "JacoGraph": g,
+        "DegreeProfile": graph.degree_profile(g),
+        "JaconianInfo": graph.jaconian(g),
+        "PathTable": paths.path_table(g),
+        "UniquenessReport": paths.uniqueness_check(g),
+        "ConjectureReport": paths.conjecture_scan(30),
+        "ClaimResult": report.claims[0],
+        "VerificationReport": report,
+        "_Claim": analysis._CLAIMS[0],
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_records()))
+def test_records_are_immutable(name):
+    record = _records()[name]
+    assert type(record).__name__ == name
+    for field in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+    # a fresh build is equal, and a pickled copy too
+    assert record == _records()[name]
+    assert pickle.loads(pickle.dumps(record)) == record
+
+
+def test_derived_columns_are_computed_once():
+    table = sequences.c_series(3, 50)
+    assert table.reach is table.reach
+    with pytest.raises(AttributeError):
+        table._reach = ()
+    report = paths.conjecture_scan(50)
+    assert report._flags is report._flags
+
+
+def test_graph_outside_its_table_is_refused():
+    with pytest.raises(ValueError):
+        graph.JacoGraph(sequences.c_series(1, 5), 6)
