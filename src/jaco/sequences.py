@@ -35,10 +35,14 @@ U(a, -1): expand n in the unique constrained digit expansion over that
 basis, shift every basis index down by one and add a 0/1 correction term.
 A digit expansion is a plain tuple of ints, alpha_1 first; the order a
 it is read in travels beside it as an argument.  The greedy encoder
-subtracts a fitting term once and divides only when the remainder still
-fits it, so order-1 digits cost no division; decoding and the closed
-form are one C-iterator dot product of the nonzero digits with their
-basis terms.
+subtracts a fitting term up to twice and divides only when the remainder
+still fits it, so digits at orders 1 and 2 cost no division.  Validation
+screens the string as bytes through one 256-byte class table per order
+and walks it digit by digit only to name the first bad index, or when a
+digit is no byte.  Decoding and the closed form are one C-iterator sum
+over the nonzero digits: at order 1, where every int digit is 0 or 1, a
+sum of the basis terms beside them; above it, or for a fractional digit
+that validation admits at order 1, a dot product.
 All arithmetic is exact (Python integers widen as needed).  Every
 sequence obeying x[i+1] = a*x[i] + x[i-1] comes from one cached builder,
 recurrence_terms, the one route to each: the Lucas basis U_0, U_1, ... is
@@ -193,10 +197,10 @@ def zeck_encode(a: int, n: int) -> tuple[int, ...]:
     construction, as does the rule that a full digit (alpha_i = a) is
     followed below by a zero.
 
-    A term that fits is subtracted once; only a remainder still >= that
-    term pays for a divmod, so at a = 1, where every digit is 0 or 1, no
-    digit divides.  A digit is never found by repeated subtraction, since
-    it can be as large as a.
+    A term that fits is subtracted up to twice; only a remainder still >=
+    that term pays for a divmod, so at a = 1 and a = 2, where every digit
+    is at most 2, no digit divides.  A digit is never found by repeated
+    subtraction beyond that, since it can be as large as a.
     """
     check_order(a)
     if n < 0:
@@ -217,8 +221,12 @@ def zeck_encode(a: int, n: int) -> tuple[int, ...]:
             if u > r:
                 digits.append(1)
             else:
-                q, r = divmod(r, u)
-                digits.append(q + 1)
+                r -= u
+                if u > r:
+                    digits.append(2)
+                else:
+                    q, r = divmod(r, u)
+                    digits.append(q + 2)
     digits.append(r)
     digits.reverse()
     while digits and digits[-1] == 0:
@@ -226,12 +234,51 @@ def zeck_encode(a: int, n: int) -> tuple[int, ...]:
     return tuple(digits)
 
 
+# Per min(a, 256): the class of each byte value as a digit of order a,
+# 0 zero, 1 nonzero below a, 2 full (= a), 3 above a.  Orders >= 256
+# share one table, since no byte reaches them.
+_DIGIT_CLASSES: dict[int, bytes] = {}
+
+
+def _digit_classes(a: int) -> bytes:
+    key = a if a < 256 else 256
+    table = _DIGIT_CLASSES.get(key)
+    if table is None:
+        table = _DIGIT_CLASSES[key] = bytes(
+            0 if d == 0 else 1 if d < key else 2 if d == key else 3 for d in range(256)
+        )
+    return table
+
+
 def validate_digits(a: int, digits: tuple[int, ...]) -> None:
     """Raise ZeckDigitError if digits violates any constraint of an order-a
-    digit string (see zeck_encode)."""
+    digit string (see zeck_encode).
+
+    A tuple whose digits are all bytes is screened whole (as a bytearray,
+    which CPython builds from a tuple faster than bytes): translated to
+    digit classes, it is valid when its last digit is nonzero, its first
+    class is below full, no class is above a, and no full digit follows a
+    nonzero one.  A string that fails the screen, whose digits are no
+    bytes (a digit outside 0..255 raises ValueError, one that is not an
+    int TypeError), or that is no tuple, is walked digit by digit, which
+    names the first bad index.
+    """
     check_order(a)
     if not digits:
         return
+    # only a tuple is screened: bytearray(m) of an int m is m zero bytes
+    if type(digits) is tuple:
+        try:
+            raw = bytearray(digits)
+        except (ValueError, TypeError):
+            pass
+        else:
+            cls = raw.translate(_digit_classes(a))
+            # find, not `in`: `in` first tries a bytes needle as an int and
+            # pays for the TypeError
+            if (raw[-1] and cls[0] < 2 and 3 not in cls
+                    and cls.find(b"\x01\x02") < 0 and cls.find(b"\x02\x02") < 0):
+                return
     if digits[-1] == 0:
         raise ZeckDigitError(len(digits), "leading digit must be nonzero")
     if not 0 <= digits[0] < a:
@@ -248,12 +295,23 @@ def zeck_decode(a: int, digits: tuple[int, ...]) -> int:
     validate_digits(a, digits)
     if not digits:
         return 0
-    terms = recurrence_terms(a, 0, 1, count=len(digits) + 1)
-    return _dot(digits, islice(terms, 1, None))  # alpha_i * U_i
+    terms = islice(recurrence_terms(a, 0, 1, count=len(digits) + 1), 1, None)
+    if a == 1 and type(sum(digits)) is not int:
+        # validation admits a fractional digit at order 1 (0.5 lies in
+        # [0, 1)), which the order-1 sum would count as a one
+        return sum(map(mul, digits, terms))
+    return _dot(a, digits, terms)  # alpha_i * U_i
 
 
-def _dot(digits: tuple[int, ...], terms) -> int:
-    """sum(alpha * u) over the nonzero digits and the terms beside them."""
+def _dot(a: int, digits: tuple[int, ...], terms) -> int:
+    """sum(alpha * u) over the nonzero digits of a valid order-a string of
+    ints and the terms beside them.
+
+    At a = 1 every such digit is 0 or 1, so the sum is that of the terms
+    beside the ones, with no product.
+    """
+    if a == 1:
+        return sum(compress(terms, digits))
     return sum(map(mul, compress(digits, digits), compress(terms, digits)))
 
 
@@ -285,7 +343,7 @@ def c_closed(a: int, n: int) -> int:
         raise ValueError(f"n must be >= 1, got {n}")
     digits = zeck_encode(a, n)
     terms = recurrence_terms(a, 0, 1, at_least=n)
-    return _dot(digits, terms) + tau(digits)  # alpha_i * U_{i-1}
+    return _dot(a, digits, terms) + tau(digits)  # alpha_i * U_{i-1}
 
 
 def c_beatty(a: int, n: int) -> int:

@@ -1,4 +1,5 @@
 import time
+from bisect import bisect_right
 from itertools import product
 from math import isqrt
 
@@ -297,16 +298,113 @@ class TestDigitKernelProperties:
         assert time.perf_counter() - start < 0.5
         assert zeck_decode(10**9, digits) == 10**40 + 7
 
-    @pytest.mark.parametrize("a", [1, 2, 3])
+    @pytest.mark.parametrize("a", [1, 2, 3, 4])
     def test_decode_raises_exactly_where_validation_does(self, a):
-        terms = recurrence_terms(a, 0, 1, count=7)
-        for length in range(6):
+        # every string of length <= 6 over the digits -1..a+1
+        for length in range(7):
             for digits in product(range(-1, a + 2), repeat=length):
-                error = _error_of(lambda: validate_digits(a, digits))
-                assert _error_of(lambda: zeck_decode(a, digits)) == error, digits
-                if error is None:
-                    want = sum(alpha * terms[i + 1] for i, alpha in enumerate(digits))
-                    assert zeck_decode(a, digits) == want, digits
+                _assert_matches_reference(a, digits)
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=st.integers(1, 5), n=st.integers(1, 10**60), data=st.data())
+    def test_validation_of_long_strings_with_one_changed_digit(self, a, n, data):
+        digits = list(zeck_encode(a, n))
+        i = data.draw(st.integers(0, len(digits) - 1))
+        digits[i] = data.draw(st.integers(-1, a + 1))
+        _assert_matches_reference(a, tuple(digits))
+
+    @pytest.mark.parametrize("a", [254, 255, 256])
+    def test_validation_at_the_byte_boundary(self, a):
+        # the digits 255 and 256 in each position, among digits on both
+        # sides of the order and of the largest byte
+        for length in range(1, 5):
+            for digits in product((0, 1, 254, 255, 256, 257), repeat=length):
+                _assert_matches_reference(a, digits)
+
+    def test_validation_at_a_huge_order(self):
+        a = 10**9
+        for length in range(1, 5):
+            for digits in product((-1, 0, 1, 255, 256, a - 1, a, a + 1), repeat=length):
+                _assert_matches_reference(a, digits)
+
+    @pytest.mark.parametrize("a", [1, 2, 3])
+    def test_validation_of_float_digits(self, a):
+        # bytearray() refuses a float digit, so the string is walked digit by digit
+        for length in range(1, 4):
+            for digits in product((0, 1, 1.0, 2.0, 0.5), repeat=length):
+                if any(isinstance(alpha, float) for alpha in digits):
+                    _assert_matches_reference(a, digits)
+
+    def test_validation_of_strings_that_are_no_tuples(self):
+        # a list is walked digit by digit; an int is no digit string, and
+        # is refused without a buffer of that many bytes being built
+        for digits in ([0, 1], [1, 1], [0, 3]):
+            _assert_matches_reference(2, digits)
+        with pytest.raises(TypeError):
+            validate_digits(2, 10**18)
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=_ORDERS, n=_VALUES)
+    def test_encoder_matches_the_reference(self, a, n):
+        assert zeck_encode(a, n) == _reference_encode(a, n)
+
+    @pytest.mark.parametrize("a", [2, 3])
+    def test_encoder_matches_the_reference_at_every_small_value(self, a):
+        for n in range(5001):
+            assert zeck_encode(a, n) == _reference_encode(a, n), n
+
+
+def _reference_validate(a, digits):
+    """The digit-by-digit validator: the reference for validate_digits."""
+    if not digits:
+        return
+    if digits[-1] == 0:
+        raise ZeckDigitError(len(digits), "leading digit must be nonzero")
+    if not 0 <= digits[0] < a:
+        raise ZeckDigitError(1, f"alpha_1 must satisfy 0 <= alpha_1 < a, got {digits[0]}")
+    for i in range(1, len(digits)):
+        if not 0 <= digits[i] <= a:
+            raise ZeckDigitError(i + 1, f"digit must be in [0, {a}], got {digits[i]}")
+        if digits[i] == a and digits[i - 1] != 0:
+            raise ZeckDigitError(i + 1, f"alpha_{i + 1} = a requires alpha_{i} = 0")
+
+
+def _assert_matches_reference(a, digits):
+    """validate_digits and zeck_decode raise the reference's ZeckDigitError
+    (type, index, message), or decode to the digits' value."""
+    want = _error_of(lambda: _reference_validate(a, digits))
+    assert _error_of(lambda: validate_digits(a, digits)) == want, digits
+    assert _error_of(lambda: zeck_decode(a, digits)) == want, digits
+    if want is None:
+        terms = recurrence_terms(a, 0, 1, count=len(digits) + 1)
+        value = sum(alpha * terms[i + 1] for i, alpha in enumerate(digits))
+        assert zeck_decode(a, digits) == value, digits
+
+
+def _reference_encode(a, n):
+    """The greedy that subtracts a fitting term once before it divides: the
+    reference for zeck_encode."""
+    if n == 0:
+        return ()
+    terms = recurrence_terms(a, 0, 1, count=3, at_least=n)
+    m = max(bisect_right(terms, n) - 1, 2)
+    digits = []  # alpha_m first
+    r = n
+    for u in terms[m:1:-1]:
+        if u > r:
+            digits.append(0)
+        else:
+            r -= u
+            if u > r:
+                digits.append(1)
+            else:
+                q, r = divmod(r, u)
+                digits.append(q + 1)
+    digits.append(r)
+    digits.reverse()
+    while digits and digits[-1] == 0:
+        digits.pop()
+    return tuple(digits)
 
 
 class TestBasisCacheIsolation:
