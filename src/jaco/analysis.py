@@ -16,7 +16,7 @@ counterexample of any failing claim.  Each claim checks one order a up
 to n; a registry holds its id, checked-text tail and caps.  One runner
 applies the caps and walks the orders in ascending order, running at each
 order every claim that covers it and has not failed yet, so each claim
-still reports its first failing order.  The second routes that two
+still reports its first failing order.  The second routes that several
 claims read at one order, the naive builder (linear in its Theta(n^2)
 output) and the quadratic path-count DP, are computed once per
 (a, capped n), and none is carried from one order to the next.
@@ -133,7 +133,7 @@ def milestone_delta(a: int) -> int:
 # first counterexample, or None.  The grid, the caps and the checked text
 # belong to the registry and the runner below it.
 
-# The second routes that two claims read at the same order, keyed by
+# The second routes that several claims read at the same order, keyed by
 # (route, a, n).  verify_suite clears it before each order, so no entry
 # left by a claim called on its own is read, and in a finally after it, so
 # at most one order's results are alive and none outlives a run.  The
@@ -293,12 +293,14 @@ def _claim_contiguity(a, n):
 
 
 def _claim_in_degree_stability(a, n):
-    big = build(a, n)
-    for m in sorted({1, min(2, n), n // 2 or 1, n}):
-        small = build(a, m)
-        for j in range(1, small.n + 1):
-            if graph_mod.in_neighbors(small, j) != graph_mod.in_neighbors(big, j):
-                return f"a={a} m={m} j={j}"
+    # the naive builder fixes the tails of v_j when v_j arrives, and later
+    # arrivals never touch them, so J_n(a)'s in-neighbors are the ones v_j
+    # gets in every J_m(a) with m >= j
+    tails, _ = _naive_build(a, n)
+    g = build(a, n)
+    for j in range(1, n + 1):
+        if list(graph_mod.in_neighbors(g, j)) != tails[j]:
+            return f"a={a} j={j}"
 
 
 def _claim_monotone_delta(a, n):
@@ -432,10 +434,23 @@ def _claim_psi_enumeration(a, n):
 
 
 def _claim_uniqueness_biconditional(a, n):
-    report = paths_mod.uniqueness_check(build(a, n))
-    if report.mismatches:
-        j = report.mismatches[0]
-        return f"a={a} j={j} unique={report.unique[j]} liz={report.criterion[j]}"
+    # (U) is recomputed from the path counts and the Liz set, and the
+    # report must carry the same three fields: its own mismatches are not
+    # taken as given
+    g = build(a, n)
+    psi = paths_mod.path_table(g).psi
+    liz = set(sequences.recurrence_terms(a, 1, 1, at_least=n))
+    unique = (False, *map((1).__eq__, psi[1:]))
+    criterion = (False, *map(liz.__contains__, g.seq.c[1 : n + 1]))
+    j = next(compress(range(1, n + 1), map(ne, unique[1:], criterion[1:])), None)
+    if j is not None:
+        return f"a={a} j={j} unique={unique[j]} liz={criterion[j]}"
+    report = paths_mod.uniqueness_check(g)
+    for field, want, got in zip(report._fields, (unique, criterion, ()), report):
+        got = tuple(got)
+        if got != want:
+            k = next(k for k, (w, x) in enumerate(zip_longest(want, got)) if w != x)
+            return f"a={a} report {field}[{k}]={got[k] if k < len(got) else None}"
 
 
 def _claim_level_ends(a, n):

@@ -39,10 +39,10 @@ subtracts a fitting term up to twice and divides only when the remainder
 still fits it, so digits at orders 1 and 2 cost no division.  Validation
 screens the string as bytes through one 256-byte class table per order
 and walks it digit by digit only to name the first bad index, or when a
-digit is no byte.  Decoding and the closed form are one C-iterator sum
-over the nonzero digits: at order 1, where every int digit is 0 or 1, a
-sum of the basis terms beside them; above it, or for a fractional digit
-that validation admits at order 1, a dot product.
+digit is no byte; a digit that is no int fails that walk first.
+Decoding and the closed form are one C-iterator sum over the nonzero
+digits: at order 1, where every digit is 0 or 1, a sum of the basis
+terms beside them; above it, a dot product.
 All arithmetic is exact (Python integers widen as needed).  Every
 sequence obeying x[i+1] = a*x[i] + x[i-1] comes from one cached builder,
 recurrence_terms, the one route to each: the Lucas basis U_0, U_1, ... is
@@ -252,7 +252,8 @@ def _digit_classes(a: int) -> bytes:
 
 def validate_digits(a: int, digits: tuple[int, ...]) -> None:
     """Raise ZeckDigitError if digits violates any constraint of an order-a
-    digit string (see zeck_encode).
+    digit string (see zeck_encode), or holds a digit that is not an int (a
+    bool is one, as it is for bytearray).
 
     A tuple whose digits are all bytes is screened whole (as a bytearray,
     which CPython builds from a tuple faster than bytes): translated to
@@ -261,7 +262,8 @@ def validate_digits(a: int, digits: tuple[int, ...]) -> None:
     nonzero one.  A string that fails the screen, whose digits are no
     bytes (a digit outside 0..255 raises ValueError, one that is not an
     int TypeError), or that is no tuple, is walked digit by digit, which
-    names the first bad index.
+    names the first bad index: first the first digit that is no int, then
+    the first constraint broken.
     """
     check_order(a)
     if not digits:
@@ -279,6 +281,9 @@ def validate_digits(a: int, digits: tuple[int, ...]) -> None:
             if (raw[-1] and cls[0] < 2 and 3 not in cls
                     and cls.find(b"\x01\x02") < 0 and cls.find(b"\x02\x02") < 0):
                 return
+    for i, alpha in enumerate(digits, 1):
+        if not isinstance(alpha, int):
+            raise ZeckDigitError(i, f"digit must be an int, got {alpha!r}")
     if digits[-1] == 0:
         raise ZeckDigitError(len(digits), "leading digit must be nonzero")
     if not 0 <= digits[0] < a:
@@ -291,23 +296,18 @@ def validate_digits(a: int, digits: tuple[int, ...]) -> None:
 
 
 def zeck_decode(a: int, digits: tuple[int, ...]) -> int:
-    """Evaluate a digit string back to its integer value, validating it first."""
+    """Evaluate a digit string back to its integer value, validating it
+    first; the empty string is 0."""
     validate_digits(a, digits)
-    if not digits:
-        return 0
     terms = islice(recurrence_terms(a, 0, 1, count=len(digits) + 1), 1, None)
-    if a == 1 and type(sum(digits)) is not int:
-        # validation admits a fractional digit at order 1 (0.5 lies in
-        # [0, 1)), which the order-1 sum would count as a one
-        return sum(map(mul, digits, terms))
     return _dot(a, digits, terms)  # alpha_i * U_i
 
 
 def _dot(a: int, digits: tuple[int, ...], terms) -> int:
-    """sum(alpha * u) over the nonzero digits of a valid order-a string of
-    ints and the terms beside them.
+    """sum(alpha * u) over the nonzero digits of a valid order-a string and
+    the terms beside them, an int; 0 for the empty string.
 
-    At a = 1 every such digit is 0 or 1, so the sum is that of the terms
+    At a = 1 every valid digit is 0 or 1, so the sum is that of the terms
     beside the ones, with no product.
     """
     if a == 1:

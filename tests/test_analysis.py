@@ -158,10 +158,22 @@ class TestVerifySuite:
             ),
             pytest.param(
                 (analysis.graph_mod, "in_neighbors"),
-                lambda real: lambda g, j: range(0) if (g.n, j) == (20, 5) else real(g, j),
-                (2, 2, 40),
-                {"graph.in_degree_stability": "a=2 m=20 j=5"},
+                lambda real: lambda g, j: real(g, j)[1:] if j == 150 else real(g, j),
+                (1, 3, 200),
+                # the claim reads the tails of every vertex, not only of v_{c[m]}
+                {"graph.in_degree_stability": "a=1 j=150"},
                 id="in_degree_stability",
+            ),
+            pytest.param(
+                (analysis.paths_mod, "uniqueness_check"),
+                lambda real: lambda g: real(g)._replace(unique=tuple(
+                    not u if j == 100 else u for j, u in enumerate(real(g).unique)
+                )),
+                (1, 3, 200),
+                # the report's own mismatches stay empty, so only the
+                # recomputed criterion shows the flipped column
+                {"paths.uniqueness_biconditional": "a=1 report unique[100]=True"},
+                id="uniqueness_report_not_trusted",
             ),
             pytest.param(
                 (analysis.paths_mod, "psi_oracle"),
@@ -262,6 +274,8 @@ class TestVerifySuite:
                     "graph.arc_relation_matches_naive_builder": "a=1 arc=(8, 11)",
                     # heads[8] becomes 9, 10, 12, 13
                     "graph.neighborhood_contiguity": "a=1 vertex=8",
+                    # and tails[11] loses v_8
+                    "graph.in_degree_stability": "a=1 j=11",
                 },
                 id="naive_build_drops_arc",
             ),
@@ -275,6 +289,7 @@ class TestVerifySuite:
                 {
                     "graph.arc_relation_matches_naive_builder": "a=2 arc=(8, 11)",
                     "graph.neighborhood_contiguity": "a=2 vertex=8",
+                    "graph.in_degree_stability": "a=2 j=11",
                 },
                 id="naive_build_drops_arc_at_order_2",
             ),
@@ -286,6 +301,7 @@ class TestVerifySuite:
                     "graph.arc_relation_matches_naive_builder": "a=1 arc=(1, 40)",
                     # heads[1] becomes 2, 40
                     "graph.neighborhood_contiguity": "a=1 vertex=1",
+                    "graph.in_degree_stability": "a=1 j=40",
                 },
                 id="naive_build_adds_arc",
             ),
@@ -294,7 +310,10 @@ class TestVerifySuite:
                 lambda real: lambda a, n: _toggle_arc(real(a, n), 9, 11, in_heads=False),
                 (1, 1, 40),
                 # the arc relation reads heads only; tails[11] becomes 7, 8, 10
-                {"graph.neighborhood_contiguity": "a=1 vertex=11"},
+                {
+                    "graph.neighborhood_contiguity": "a=1 vertex=11",
+                    "graph.in_degree_stability": "a=1 j=11",
+                },
                 id="naive_build_tails_gap",
             ),
             pytest.param(
@@ -408,9 +427,10 @@ class TestVerifySuite:
 
             monkeypatch.setattr(module, name, counted)
         assert verify_suite(1, 3, 40).passed
-        # the arc relation and the contiguity claim share one build per
-        # order; the path-count DP runs at n = 40 and at the enumeration's
-        # cap 25 for each order, the Liz-window recursion sharing n = 40
+        # the arc relation, the contiguity and the in-degree claims share
+        # one build per order; the path-count DP runs at n = 40 and at the
+        # enumeration's cap 25 for each order, the Liz-window recursion
+        # sharing n = 40
         assert calls == {"naive_build": 3, "psi_oracle": 6}
 
     def test_no_shared_result_outlives_a_run(self, monkeypatch):
@@ -431,6 +451,7 @@ class TestVerifySuite:
         faults = {
             "graph.arc_relation_matches_naive_builder": "a=2 arc=(8, 11)",
             "graph.neighborhood_contiguity": "a=2 vertex=8",
+            "graph.in_degree_stability": "a=2 j=11",
             "paths.psi_recursion_matches_dp": "a=2 j=8 recursion=6 dp=7",
             "paths.psi_fast_matches_dp": "a=2 j=8",
         }
@@ -462,6 +483,7 @@ class TestVerifySuite:
         assert {c.claim_id: c.counterexample for c in report.claims if not c.passed} == {
             "graph.arc_relation_matches_naive_builder": "a=1 arc=(8, 11)",
             "graph.neighborhood_contiguity": "a=1 vertex=8",
+            "graph.in_degree_stability": "a=1 j=11",
         }
 
     def test_rejects_bad_grid(self):

@@ -329,11 +329,28 @@ class TestDigitKernelProperties:
 
     @pytest.mark.parametrize("a", [1, 2, 3])
     def test_validation_of_float_digits(self, a):
-        # bytearray() refuses a float digit, so the string is walked digit by digit
+        # bytearray() refuses a float digit, so the string is walked digit by
+        # digit, and the walk refuses the first float before any other rule
         for length in range(1, 4):
             for digits in product((0, 1, 1.0, 2.0, 0.5), repeat=length):
                 if any(isinstance(alpha, float) for alpha in digits):
+                    want = _error_of(lambda: _reference_validate(a, digits))
+                    first = next(i for i, alpha in enumerate(digits, 1)
+                                 if isinstance(alpha, float))
+                    assert want[:2] == (ZeckDigitError, first), digits
                     _assert_matches_reference(a, digits)
+
+    @pytest.mark.parametrize("a, digits, index", [(1, (0, 0.5), 2), (2, (0.5,), 1)])
+    def test_fractional_digits_are_refused(self, a, digits, index):
+        # the bounds admit 0.5 (0 <= 0.5 < a), so only the int rule refuses it
+        with pytest.raises(ZeckDigitError, match="must be an int, got 0.5") as caught:
+            zeck_decode(a, digits)
+        assert caught.value.index == index
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=st.integers(1, 5), n=st.integers(0, 10**60))
+    def test_decode_returns_an_int(self, a, n):
+        assert type(zeck_decode(a, zeck_encode(a, n))) is int
 
     def test_validation_of_strings_that_are_no_tuples(self):
         # a list is walked digit by digit; an int is no digit string, and
@@ -358,6 +375,9 @@ def _reference_validate(a, digits):
     """The digit-by-digit validator: the reference for validate_digits."""
     if not digits:
         return
+    for i, alpha in enumerate(digits, 1):
+        if not isinstance(alpha, int):
+            raise ZeckDigitError(i, f"digit must be an int, got {alpha!r}")
     if digits[-1] == 0:
         raise ZeckDigitError(len(digits), "leading digit must be nonzero")
     if not 0 <= digits[0] < a:
