@@ -133,27 +133,34 @@ def milestone_delta(a: int) -> int:
 # first counterexample, or None.  The grid, the caps and the checked text
 # belong to the registry and the runner below it.
 
-# The second routes that several claims read at the same order, keyed by
-# (route, a, n).  verify_suite clears it before each order, so no entry
-# left by a claim called on its own is read, and in a finally after it, so
-# at most one order's results are alive and none outlives a run.  The
-# routes are looked up on their modules at call time, so a patched route is
-# the one computed.
-_order_memo: dict[tuple[str, int, int], object] = {}
+# The routes that several claims read at the same order, keyed by (route,
+# a, n).  It is a dict only while verify_suite runs one order, so a claim
+# called on its own computes every route afresh, and no result outlives its
+# order, also when a claim raises.  The claims look each route up on its
+# module at call time, so a patched route is the one computed.
+_order_memo: dict[tuple[object, int, int], object] | None = None
+
+
+def _per_order(route, a, n, *args):
+    """route(*args) for J_n(a), computed once while verify_suite runs order a."""
+    if _order_memo is None:
+        return route(*args)
+    key = (route, a, n)
+    if key not in _order_memo:
+        _order_memo[key] = route(*args)
+    return _order_memo[key]
 
 
 def _naive_build(a, n):
-    key = ("naive_build", a, n)
-    if key not in _order_memo:
-        _order_memo[key] = oracles.naive_build(a, n)
-    return _order_memo[key]
+    return _per_order(oracles.naive_build, a, n, a, n)
 
 
 def _psi_oracle(g):
-    key = ("psi_oracle", g.a, g.n)
-    if key not in _order_memo:
-        _order_memo[key] = paths_mod.psi_oracle(g)
-    return _order_memo[key]
+    return _per_order(paths_mod.psi_oracle, g.a, g.n, g)
+
+
+def _path_table(g):
+    return _per_order(paths_mod.path_table, g.a, g.n, g)
 
 
 def _claim_seed_values(a, n):
@@ -417,7 +424,7 @@ def _claim_psi_recursion(a, n):
 
 def _claim_psi_fast(a, n):
     g = build(a, n)
-    fast = paths_mod.path_table(g).psi
+    fast = _path_table(g).psi
     slow = _psi_oracle(g)
     if fast != slow:
         j = next(i for i in range(1, n + 1) if fast[i] != slow[i])
@@ -438,7 +445,7 @@ def _claim_uniqueness_biconditional(a, n):
     # report must carry the same three fields: its own mismatches are not
     # taken as given
     g = build(a, n)
-    psi = paths_mod.path_table(g).psi
+    psi = _path_table(g).psi
     liz = set(sequences.recurrence_terms(a, 1, 1, at_least=n))
     unique = (False, *map((1).__eq__, psi[1:]))
     criterion = (False, *map(liz.__contains__, g.seq.c[1 : n + 1]))
@@ -458,7 +465,7 @@ def _claim_level_ends(a, n):
     # numbers below n, and c[B_{m+1}] = B_m; and each Liz vertex has one
     # shortest path (step 3 of its proof)
     g = build(a, n)
-    table = paths_mod.path_table(g)
+    table = _path_table(g)
     dist, psi, c = table.dist, table.psi, g.seq.c
     liz = sequences.recurrence_terms(a, 1, 1, at_least=n)  # 1, 1, a+1, ...
     ends = compress(range(1, n), map(ne, dist[1:n], dist[2:]))
@@ -476,7 +483,7 @@ def _claim_non_repetition(a, n):
     # (N) of the level theorem: the c triple at k is non-repetitive exactly
     # when the psi triple is
     g = build(a, n)
-    report = paths_mod.ConjectureReport(g.seq.c, paths_mod.path_table(g).psi)
+    report = paths_mod.ConjectureReport(g.seq.c, _path_table(g).psi)
     if report.violations:
         k = next(k for k, _, _, forward, converse in report.rows if not forward or not converse)
         return f"a={a} k={k}"
@@ -561,6 +568,7 @@ def verify_suite(a_min: int, a_max: int, n: int) -> VerificationReport:
     one the claims that cover it and have not failed yet run serially in
     registry order, so each claim reports its first counterexample.
     """
+    global _order_memo
     check_order(a_min)
     if a_max < a_min:
         raise ValueError(f"a_max must be >= a_min, got {a_min}..{a_max}")
@@ -569,13 +577,13 @@ def verify_suite(a_min: int, a_max: int, n: int) -> VerificationReport:
     plans = [(claim, *_plan(claim, a_min, a_max, n)) for claim in _CLAIMS]
     found: list[str | None] = [None] * len(plans)
     for a in range(a_min, a_max + 1):
-        _order_memo.clear()
+        _order_memo = {}
         try:
             for k, (claim, capped, orders, _) in enumerate(plans):
                 if found[k] is None and a in orders:
                     found[k] = claim.fn(a, capped)
         finally:
-            _order_memo.clear()
+            _order_memo = None
     return VerificationReport(tuple(
         ClaimResult(claim.claim_id, checked, counterexample)
         for (claim, _, _, checked), counterexample in zip(plans, found)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import os
 import stat
 import sys
@@ -50,9 +49,7 @@ class _Parser(argparse.ArgumentParser):
             self.exit(EXIT_IO)
 
 
-@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    # built once per process: parse_args keeps no state between calls
     parser = _Parser(prog="jaco", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -230,13 +227,14 @@ _HANDLERS = {
 }
 
 
-# built with the rest of startup, not inside the first call, so the first
-# main() of a process costs what every later one does
-_build_parser()
+# built once, with the rest of startup, not inside the first call, so the
+# first main() of a process costs what every later one does; parse_args
+# keeps no state between calls
+_PARSER = _build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         text, ok = _HANDLERS[args.command](args)
         return _emit(text, args.out) or (EXIT_OK if ok else EXIT_VIOLATION)

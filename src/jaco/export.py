@@ -19,7 +19,7 @@ from itertools import islice
 from .graph import JacoGraph, _last_heads, degree_profile, jaconian
 from .sequences import SequenceTable
 
-FORMATS = ("dot", "json", "csv")
+FORMATS = ("dot", "json", "csv")  # each renders through to_<format>
 
 
 def _arc_pieces(g: JacoGraph, tail: str, end: str, gap: str = "") -> list[str]:
@@ -101,11 +101,11 @@ def seq_dump(t: SequenceTable) -> str:
 
 
 def render(g: JacoGraph, fmt: str) -> str:
-    """Dispatch to one of the graph formats."""
-    if fmt == "dot":
-        return to_dot(g)
-    if fmt == "json":
-        return to_json(g)
-    if fmt == "csv":
-        return to_csv(g)
-    raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS}")
+    """Dispatch to the graph format's renderer, to_<fmt>.
+
+    The renderer is looked up by name when called, not held in a table,
+    so a wrapper bound over to_<fmt> (a tracer's) sees every render.
+    """
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS}")
+    return globals()[f"to_{fmt}"](g)

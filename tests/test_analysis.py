@@ -418,7 +418,8 @@ class TestVerifySuite:
 
     def test_shared_second_routes_run_once_per_order(self, monkeypatch):
         calls = Counter()
-        for module, name in ((oracles, "naive_build"), (paths, "psi_oracle")):
+        routes = ((oracles, "naive_build"), (paths, "psi_oracle"), (paths, "path_table"))
+        for module, name in routes:
             real = getattr(module, name)
 
             def counted(*args, name=name, real=real):
@@ -430,8 +431,9 @@ class TestVerifySuite:
         # the arc relation, the contiguity and the in-degree claims share
         # one build per order; the path-count DP runs at n = 40 and at the
         # enumeration's cap 25 for each order, the Liz-window recursion
-        # sharing n = 40
-        assert calls == {"naive_build": 3, "psi_oracle": 6}
+        # sharing n = 40; the four claims that read the path table share one
+        # per order, and uniqueness_check builds its own
+        assert calls == {"naive_build": 3, "psi_oracle": 6, "path_table": 6}
 
     def test_no_shared_result_outlives_a_run(self, monkeypatch):
         # a run that raises mid-order and a run that returns both leave

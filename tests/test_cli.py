@@ -10,12 +10,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import jaco
 from jaco import analysis, cli, oracles, sequences
 from jaco.cli import main
 from jaco.graph import build
 from jaco.paths import psi_oracle
 
-ROOT = Path(__file__).resolve().parents[1]
+# the directory holding the jaco this run imports, for the child processes
+# (src/ in a checkout, site-packages for an installed package)
+PACKAGE_ROOT = str(Path(jaco.__file__).parent.parent)
 
 
 def run(capsys, *argv):
@@ -343,7 +346,7 @@ class TestExitStatus:
         ("milestone --a 2", 0),
     ])
     def test_closed_pipe_exits_3_without_traceback(self, argv, lines):
-        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        env = {**os.environ, "PYTHONPATH": PACKAGE_ROOT}
         env.pop("PYTHONUNBUFFERED", None)  # stdout buffered as by default
         with subprocess.Popen([sys.executable, "-m", "jaco.cli", *argv.split()],
                               stdout=subprocess.PIPE, stderr=subprocess.PIPE,
@@ -363,7 +366,7 @@ class TestExitStatus:
     def test_help_on_a_full_disk_exits_3(self, argv, unbuffered):
         # argparse prints help itself: buffered, the last flush used to fail
         # (exit 120); unbuffered, it dropped the OSError and exited 0
-        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        env = {**os.environ, "PYTHONPATH": PACKAGE_ROOT}
         env.pop("PYTHONUNBUFFERED", None)
         if unbuffered:
             env["PYTHONUNBUFFERED"] = "1"
@@ -411,8 +414,11 @@ class TestExitStatus:
 
 class TestRepeatedCalls:
     # main builds its parser once per process, so no call may leak into the next
-    def test_back_to_back_calls_share_no_state(self, capsys, tmp_path):
-        assert cli._build_parser() is cli._build_parser()
+    def test_back_to_back_calls_share_no_state(self, capsys, tmp_path, monkeypatch):
+        parsed = []
+        parse = cli._PARSER.parse_args
+        monkeypatch.setattr(cli._PARSER, "parse_args",
+                            lambda argv: parsed.append(argv) or parse(argv))
         code, out, _ = run(capsys, "paths", "--a", "1", "--n", "3", "--psi")
         assert (code, out) == (0, "1 0 1\n2 1 1\n3 2 1\n")
         code, out, _ = run(capsys, "paths", "--a", "1", "--n", "3")
@@ -427,6 +433,8 @@ class TestRepeatedCalls:
         assert exc.value.code == 2
         code, out, _ = run(capsys, "build", "--a", "1", "--n", "3")
         assert (code, out) == (0, "digraph jaco_a1_n3 {\n  v1 -> v2;\n  v2 -> v3;\n}\n")
+        # every call parsed with the one module-level parser
+        assert len(parsed) == 5
 
 
 _REQUIRED = {"build": ["--a", "--n"], "seq": ["--a", "--horizon"],

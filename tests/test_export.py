@@ -56,7 +56,8 @@ class TestJson:
             "total_degree", "delta", "jaconian", "prime", "hope",
         ]
 
-    @pytest.mark.parametrize("a,n", [(1, 8), (2, 7), (3, 20)])
+    # (1, 400) and (3, 300) are sizes no golden file covers
+    @pytest.mark.parametrize("a,n", [(1, 8), (2, 7), (3, 20), (1, 400), (3, 300)])
     def test_roundtrip_reconstructs_arcs(self, a, n):
         doc = json.loads(to_json(build(a, n)))
         assert {tuple(e) for e in doc["edges"]} == set(arcs(build(a, n)))
@@ -64,6 +65,15 @@ class TestJson:
         assert [tuple(e) for e in doc["edges"]] == [
             (i, j) for i, h in enumerate(heads) for j in h
         ]
+        # the degree arrays and the summary, recounted from the edges
+        d_in, d_out = [0] * n, [0] * n
+        for i, j in doc["edges"]:
+            d_out[i - 1] += 1
+            d_in[j - 1] += 1
+        total = [x + y for x, y in zip(d_in, d_out)]
+        assert (doc["in_degree"], doc["out_degree"], doc["total_degree"]) == (d_in, d_out, total)
+        assert doc["delta"] == max(total)
+        assert doc["prime"] == total.index(max(total)) + 1
 
 
 class TestCsv:
@@ -139,6 +149,17 @@ def test_rendering_is_stable_across_calls():
     for _ in range(3):
         assert to_dot(build(2, 7)) == to_dot(build(2, 7))
         assert to_json(build(2, 7)) == to_json(build(2, 7))
+
+
+def test_render_calls_the_renderer_bound_at_call_time(monkeypatch):
+    g = build(2, 7)
+    assert [export.render(g, fmt) for fmt in export.FORMATS] == [to_dot(g), to_json(g), to_csv(g)]
+    # a wrapper bound over a renderer, as the benchmark's tracer binds one, is the one run
+    monkeypatch.setattr(export, "to_csv", lambda g: "wrapped\n")
+    assert export.render(g, "csv") == "wrapped\n"
+    with pytest.raises(ValueError, match=r"^unknown format 'svg', expected one of "
+                                         r"\('dot', 'json', 'csv'\)$"):
+        export.render(g, "svg")
 
 
 # Per-arc reference renderers: one formatted line (or [i, j] pair) per arc of
