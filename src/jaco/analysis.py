@@ -86,8 +86,9 @@ def edge_count_theorem(g: JacoGraph) -> int:
     on the n - k Hope vertices; everything else is counted by the finite
     out-degrees of v_1..v_k.  O(log n) per graph, through the summatory c.
     """
-    k = graph_mod._jaconian_at(g.seq, g.n)[1]
-    hope_size = g.n - k
+    seq, n = g
+    k = graph_mod._jaconian_at(seq, n)[1]
+    hope_size = n - k
     return hope_size * (hope_size - 1) // 2 + graph_mod._out_arcs(g, k)
 
 
@@ -443,8 +444,10 @@ def _claim_psi_enumeration(a, n):
 def _claim_uniqueness_biconditional(a, n):
     # (U) is recomputed from the path counts and the Liz set, and the
     # report must carry the same three fields: its own mismatches are not
-    # taken as given
+    # taken as given.  The report comes first, so the path table that
+    # uniqueness_check builds is gone before the shared one is built
     g = build(a, n)
+    report = paths_mod.uniqueness_check(g)
     psi = _path_table(g).psi
     liz = set(sequences.recurrence_terms(a, 1, 1, at_least=n))
     unique = (False, *map((1).__eq__, psi[1:]))
@@ -452,7 +455,6 @@ def _claim_uniqueness_biconditional(a, n):
     j = next(compress(range(1, n + 1), map(ne, unique[1:], criterion[1:])), None)
     if j is not None:
         return f"a={a} j={j} unique={unique[j]} liz={criterion[j]}"
-    report = paths_mod.uniqueness_check(g)
     for field, want, got in zip(report._fields, (unique, criterion, ()), report):
         got = tuple(got)
         if got != want:

@@ -212,8 +212,9 @@ def _cmd_milestone(args) -> tuple[str, bool]:
 
 
 def _cmd_conjecture(args) -> tuple[str, bool]:
-    report = paths.conjecture_scan(args.n)
-    return paths.render_conjecture(report), report.violations == 0
+    text = paths.render_conjecture(paths.conjecture_scan(args.n))
+    # the SUMMARY line ends the text and counts the violations
+    return text, text.endswith(" violations=0\n")
 
 
 _HANDLERS = {

@@ -21,9 +21,9 @@ Hope range above the prime index first is first+1..m, so only the public
 jaconian(g) spells them out as a JaconianInfo record; the prefix walkers
 in analysis read the ints.
 
-The records are immutable: a JacoGraph is a frozen __slots__ object over
-its table and n, and DegreeProfile and JaconianInfo are named tuples, which
-_replace copies with a field changed.
+The records are immutable named tuples, which _replace copies with a field
+changed: JacoGraph (seq, n), whose range check also holds through _replace,
+DegreeProfile and JaconianInfo.
 """
 
 from __future__ import annotations
@@ -33,30 +33,34 @@ from collections import namedtuple
 from collections.abc import Iterator
 from itertools import chain, repeat
 
-from .sequences import SequenceTable, _Record, c_series
+from .sequences import SequenceTable, c_series
 
 
-class JacoGraph(_Record):
+_GraphFields = namedtuple("JacoGraph", "seq n")
+
+
+class JacoGraph(_GraphFields):
     """A finite Jaco graph on vertices v_1..v_n: a prefix of its table, of its order.
 
-    A frozen __slots__ record (see sequences._Record): it refuses, when it
-    is built, a view that does not lie within its table.
+    A named tuple (seq, n) that refuses a view outside its table: __new__
+    checks the range, pickle and copy rebuild through __new__, and _make,
+    which _replace calls, builds through it too.
     """
 
-    __slots__ = _fields = ("seq", "n")
+    __slots__ = ()
 
-    def __init__(self, seq: SequenceTable, n: int):
+    def __new__(cls, seq: SequenceTable, n: int):
         if not 1 <= n < len(seq.c):
             raise ValueError(f"vertex count n must be in 1..{len(seq.c) - 1}, got {n}")
-        _set_seq(self, seq)
-        _set_n(self, n)
+        return _GraphFields.__new__(cls, seq, n)
+
+    @classmethod
+    def _make(cls, iterable) -> JacoGraph:
+        return cls(*iterable)
 
     @property
     def a(self) -> int:
         return self.seq.a
-
-
-_set_seq, _set_n = JacoGraph.seq.__set__, JacoGraph.n.__set__
 
 
 class DegreeProfile(namedtuple("DegreeProfile", "d_in d_out_finite d_total")):
@@ -183,7 +187,7 @@ def _out_arcs(g: JacoGraph, k: int) -> int:
     j = min(k, c[n] - 1) reaches sum to a*j(j+1)/2 + S(j), and each of
     the k - j later ones is n.
     """
-    a, n, c = g.a, g.n, g.seq.c
+    (a, c), n = g
     j = min(k, c[n] - 1)
     return a * j * (j + 1) // 2 + _summatory(c, a, j) + (k - j) * n - k * (k + 1) // 2
 
@@ -215,7 +219,7 @@ def _jaconian_at(seq: SequenceTable, m: int) -> tuple[int, int, int]:
     v_f..v_{e-1} when m - c[f] = delta.  v_{f-1} sits just below the tie
     run, so in each of the three cases the set is one contiguous run.
     """
-    a, c = seq.a, seq.c
+    a, c = seq
     f = c[m]
     k = c[f]
     top = m - k
@@ -237,8 +241,9 @@ def jaconian(g: JacoGraph) -> JaconianInfo:
     _jaconian_at: the set is the run v_first..v_last and the Hope range
     runs from first + 1 to n.
     """
-    delta, first, last = _jaconian_at(g.seq, g.n)
-    return JaconianInfo(delta, tuple(range(first, last + 1)), range(first + 1, g.n + 1))
+    seq, n = g
+    delta, first, last = _jaconian_at(seq, n)
+    return JaconianInfo(delta, tuple(range(first, last + 1)), range(first + 1, n + 1))
 
 
 def hope_is_complete(g: JacoGraph) -> tuple[bool, tuple[int, int] | None]:
@@ -251,8 +256,9 @@ def hope_is_complete(g: JacoGraph) -> tuple[bool, tuple[int, int] | None]:
     hope = jaconian(g).hope_range
     if len(hope) < 2:
         return True, None
+    (a, c), n = g
     i = hope[0]
-    last = g.a * i + g.seq.c[i]
-    if last < g.n:
+    last = a * i + c[i]
+    if last < n:
         return False, (i, last + 1)
     return True, None

@@ -52,9 +52,9 @@ increases, so (N) reads c, not dplus.  Proof sketch:
 uniqueness_check compares (U) vertex by vertex, and conjecture_scan still
 scans (N) at order 1 line by line, now as an empirical check of a theorem.
 
-The records are immutable: PathTable and UniquenessReport are named tuples,
-which _replace copies with a field changed, and ConjectureReport is a
-frozen __slots__ object that keeps its two flag columns once computed.
+The records are immutable named tuples, which _replace copies with a field
+changed: PathTable, UniquenessReport and ConjectureReport, whose two flag
+columns are computed on each read.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ from itertools import accumulate, chain, compress, islice, repeat
 from operator import and_, ne, sub
 
 from .graph import JacoGraph, build
-from .sequences import _Record, recurrence_terms
+from .sequences import recurrence_terms
 
 
 class PathTable(namedtuple("PathTable", "dist psi")):
@@ -86,7 +86,7 @@ class UniquenessReport(namedtuple("UniquenessReport", "unique criterion mismatch
     __slots__ = ()
 
 
-class ConjectureReport(_Record):
+class ConjectureReport(namedtuple("ConjectureReport", "dplus psi")):
     """Scan of the non-repetitiveness biconditional for 7 <= k <= n_max - 1.
 
     Holds the two columns the scan reads, dplus[0..n_max] and psi[0..n_max],
@@ -97,15 +97,10 @@ class ConjectureReport(_Record):
     ok); forward is "dplus non-repetitive implies psi non-repetitive" and
     converse the reverse implication.  Nothing is asserted: violations are
     report content.  The two flag columns that rows, violations and
-    render_conjecture read are computed on first use and kept.
+    render_conjecture read are computed on each read.
     """
 
-    __slots__ = ("dplus", "psi", "_flag_columns")
-    _fields = ("dplus", "psi")
-
-    def __init__(self, dplus: tuple[int, ...], psi: tuple[int, ...]):
-        _set_dplus(self, dplus)
-        _set_psi(self, psi)
+    __slots__ = ()
 
     @property
     def n_max(self) -> int:
@@ -114,12 +109,7 @@ class ConjectureReport(_Record):
     @property
     def _flags(self) -> tuple[list[bool], list[bool]]:
         """Whether the dplus and the psi triple at k are non-repetitive, k = 7..n_max-1."""
-        try:
-            return self._flag_columns
-        except AttributeError:
-            flags = _non_repetitive(self.dplus, self.n_max), _non_repetitive(self.psi, self.n_max)
-            _set_flags(self, flags)
-            return flags
+        return _non_repetitive(self.dplus, self.n_max), _non_repetitive(self.psi, self.n_max)
 
     @property
     def rows(self) -> tuple[tuple[int, tuple[int, int, int], tuple[int, int, int], bool, bool], ...]:
@@ -132,14 +122,12 @@ class ConjectureReport(_Record):
 
     @property
     def violations(self) -> int:
-        # forward fails where only dplus is non-repetitive, converse where only psi is
-        return sum(map(ne, *self._flags))
+        return _violations(self._flags)
 
 
-_set_dplus, _set_psi, _set_flags = (
-    ConjectureReport.dplus.__set__, ConjectureReport.psi.__set__,
-    ConjectureReport._flag_columns.__set__,
-)
+def _violations(flags: tuple[list[bool], list[bool]]) -> int:
+    # forward fails where only dplus is non-repetitive, converse where only psi is
+    return sum(map(ne, *flags))
 
 
 def _non_repetitive(x: tuple[int, ...], n_max: int) -> list[bool]:
@@ -264,7 +252,8 @@ def render_conjecture(report: ConjectureReport) -> str:
     one block's pieces are alive at once besides the joined blocks.
     """
     n = report.n_max
-    verdicts = map(_VERDICTS.__getitem__, zip(*report._flags))
+    flags = report._flags
+    verdicts = map(_VERDICTS.__getitem__, zip(*flags))
     blocks = []
     for lo in range(7, n, _CONJECTURE_BLOCK):
         hi = min(lo + _CONJECTURE_BLOCK, n)
@@ -277,5 +266,5 @@ def render_conjecture(report: ConjectureReport) -> str:
             repeat(") "), islice(verdicts, hi - lo),
         )
         blocks.append("".join(chain.from_iterable(pieces)))
-    blocks.append(f"SUMMARY scanned=7..{n - 1} violations={report.violations}\n")
+    blocks.append(f"SUMMARY scanned=7..{n - 1} violations={_violations(flags)}\n")
     return "".join(blocks)

@@ -4,9 +4,10 @@ The central object is the lowest-in-neighbor series c: c[0] = 0, c[1] = 1
 and, for n >= 2, c[n] is the least k < n with a*k + c[k] >= n.  From it
 follow the in-degree (n - c[n]), the out-degree ((a-1)*n + c[n]) and the
 reach (a*n + c[n]) of every vertex of the infinite order-a graph.  Only c
-is stored, and only the reach has a column, computed on first access; the
-two degrees are read inline from c.  The running sum of c has no column:
-graph computes it at one index from c alone, in O(log n).
+is stored: a SequenceTable is the named tuple (a, c), its reach column is
+computed on each read, and the two degrees are read inline from c.  The
+running sum of c has no column: graph computes it at one index from c
+alone, in O(log n).
 
 At every order c is a Beatty sequence.  Let r = (a + sqrt(a*a + 4))/2, so
 that r = a + 1/r, and beta = r/(r+1).  Then, for every n >= 0,
@@ -39,7 +40,7 @@ subtracts a fitting term up to twice and divides only when the remainder
 still fits it, so digits at orders 1 and 2 cost no division.  Validation
 screens the string as bytes through one 256-byte class table per order
 and walks it digit by digit only to name the first bad index, or when a
-digit is no byte; a digit that is no int fails that walk first.
+digit is no byte or no int; a digit that is no int fails that walk first.
 Decoding and the closed form are one C-iterator sum over the nonzero
 digits: at order 1, where every digit is 0 or 1, a sum of the basis
 terms beside them; above it, a dot product.
@@ -53,6 +54,7 @@ recurrence_terms(a, 1, 1); at a = 1 both are the Fibonacci numbers.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import namedtuple
 from itertools import compress, islice
 from math import isqrt
 from operator import mul
@@ -72,75 +74,18 @@ def check_order(a: int) -> None:
         raise ValueError(f"order a must be >= 1, got {a}")
 
 
-class _Record:
-    """Base of the records that carry behaviour: __slots__ objects, frozen.
+class SequenceTable(namedtuple("SequenceTable", "a c")):
+    """The series c[0], c[1], ... of order a; the reach column is computed on each read.
 
-    A subclass lists its fields in _fields and sets each once in its
-    __init__ through the slot's own setter, Cls.field.__set__, which
-    bypasses the frozen __setattr__ (and costs less than
-    object.__setattr__); any later assignment or deletion raises
-    AttributeError.  Two records are equal when they have the same
-    type and equal fields, and a record is copied or pickled by calling
-    its class on its fields.  A slot outside _fields may hold a value
-    derived from the fields, set once on first read.
+    reach[n] = a*n + c[n].  The in-degree n - c[n] and the out-degree
+    (a-1)*n + c[n] have no column: their readers take them inline from c.
     """
 
     __slots__ = ()
-    _fields: tuple[str, ...] = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
-
-    def _values(self) -> tuple:
-        return tuple(map(self.__getattribute__, self._fields))
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
-        return f"{type(self).__name__}({fields})"
-
-    def __reduce__(self):
-        return type(self), self._values()
-
-
-class SequenceTable(_Record):
-    """The series c[0], c[1], ... of order a; the reach column is computed on demand.
-
-    reach[n] = a*n + c[n], computed on first access and kept.  The in-degree
-    n - c[n] and the out-degree (a-1)*n + c[n] have no column: their readers
-    take them inline from c.
-    """
-
-    __slots__ = ("a", "c", "_reach")
-    _fields = ("a", "c")
-
-    def __init__(self, a: int, c: tuple[int, ...]):
-        _set_a(self, a)
-        _set_c(self, c)
 
     @property
     def reach(self) -> tuple[int, ...]:
-        try:
-            return self._reach
-        except AttributeError:
-            reach = tuple(self.a * n + cn for n, cn in enumerate(self.c))
-            _set_reach(self, reach)
-            return reach
-
-
-_set_a, _set_c, _set_reach = (
-    SequenceTable.a.__set__, SequenceTable.c.__set__, SequenceTable._reach.__set__,
-)
+        return tuple(self.a * n + cn for n, cn in enumerate(self.c))
 
 
 # Terms of x[i+1] = a*x[i] + x[i-1] per (a, x[0], x[1]), grown on demand.
@@ -260,10 +205,11 @@ def validate_digits(a: int, digits: tuple[int, ...]) -> None:
     digit classes, it is valid when its last digit is nonzero, its first
     class is below full, no class is above a, and no full digit follows a
     nonzero one.  A string that fails the screen, whose digits are no
-    bytes (a digit outside 0..255 raises ValueError, one that is not an
-    int TypeError), or that is no tuple, is walked digit by digit, which
-    names the first bad index: first the first digit that is no int, then
-    the first constraint broken.
+    bytes (a digit outside 0..255 raises ValueError, one with no
+    __index__ TypeError), whose digit sum is no int (a digit that is no
+    int but has an __index__), or that is no tuple, is walked digit by
+    digit, which names the first bad index: first the first digit that is
+    no int, then the first constraint broken.
     """
     check_order(a)
     if not digits:
@@ -272,9 +218,13 @@ def validate_digits(a: int, digits: tuple[int, ...]) -> None:
     if type(digits) is tuple:
         try:
             raw = bytearray(digits)
+            # bytearray also takes a digit that is no int through its
+            # __index__; the sum of ints is an int, while a numpy integer
+            # makes it numpy's type and a bare __index__ raises TypeError
+            ints = type(sum(digits)) is int
         except (ValueError, TypeError):
-            pass
-        else:
+            ints = False
+        if ints:
             cls = raw.translate(_digit_classes(a))
             # find, not `in`: `in` first tries a bytes needle as an int and
             # pays for the TypeError

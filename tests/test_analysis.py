@@ -1,3 +1,4 @@
+import tracemalloc
 from bisect import insort
 from collections import Counter
 from itertools import chain
@@ -434,6 +435,32 @@ class TestVerifySuite:
         # sharing n = 40; the four claims that read the path table share one
         # per order, and uniqueness_check builds its own
         assert calls == {"naive_build": 3, "psi_oracle": 6, "path_table": 6}
+
+    def test_path_claims_peak_near_one_uniqueness_check(self, monkeypatch):
+        # the claims past the path cap share one path table per order; the
+        # uniqueness claim takes its report first, so the table that
+        # uniqueness_check builds for itself is gone before the shared one
+        # is built, and the two are never alive together
+        ids = {
+            "paths.uniqueness_biconditional",
+            "paths.level_ends_are_liz",
+            "paths.non_repetition_any_order",
+        }
+        narrowed = tuple(c for c in analysis._CLAIMS if c.claim_id in ids)
+        assert len(narrowed) == 3 and all(c.n_cap is None for c in narrowed)
+        monkeypatch.setattr(analysis, "_CLAIMS", narrowed)
+        n = 50_000
+        tracemalloc.start()
+        try:
+            paths.uniqueness_check(build(1, n))
+            alone = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            report = verify_suite(1, 1, n)
+            claims = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert claims <= 1.4 * alone, f"claims {claims} uniqueness_check {alone}"
 
     def test_no_shared_result_outlives_a_run(self, monkeypatch):
         # a run that raises mid-order and a run that returns both leave

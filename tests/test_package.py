@@ -115,15 +115,13 @@ def test_records_are_immutable(name):
     assert pickle.loads(pickle.dumps(record)) == record
 
 
-def test_derived_columns_are_computed_once():
-    table = sequences.c_series(3, 50)
-    assert table.reach is table.reach
-    with pytest.raises(AttributeError):
-        table._reach = ()
-    report = paths.conjecture_scan(50)
-    assert report._flags is report._flags
-
-
 def test_graph_outside_its_table_is_refused():
-    with pytest.raises(ValueError):
-        graph.JacoGraph(sequences.c_series(1, 5), 6)
+    seq = sequences.c_series(1, 5)
+    g = graph.JacoGraph(seq, 5)
+    for outside in (
+        lambda: graph.JacoGraph(seq, 6),
+        lambda: g._replace(n=len(g.seq.c)),
+        lambda: graph.JacoGraph._make((seq, 0)),
+    ):
+        with pytest.raises(ValueError):
+            outside()

@@ -347,6 +347,22 @@ class TestDigitKernelProperties:
             zeck_decode(a, digits)
         assert caught.value.index == index
 
+    @pytest.mark.parametrize("a", [1, 2, 3])
+    def test_validation_of_index_digits(self, a):
+        # bytearray() takes a digit that is no int through its __index__, so
+        # the screen must refuse it as the walk does: a tuple and a list of
+        # the same digits fail alike, at the first such digit
+        for length in range(1, 4):
+            for digits in product((0, 1, _Index(0), _Index(1)), repeat=length):
+                if any(type(alpha) is _Index for alpha in digits):
+                    first = next(i for i, alpha in enumerate(digits, 1)
+                                 if type(alpha) is _Index)
+                    for string in (digits, list(digits)):
+                        with pytest.raises(ZeckDigitError) as caught:
+                            zeck_decode(a, string)
+                        assert caught.value.index == first, string
+                    _assert_matches_reference(a, digits)
+
     @settings(max_examples=300, deadline=None)
     @given(a=st.integers(1, 5), n=st.integers(0, 10**60))
     def test_decode_returns_an_int(self, a, n):
@@ -387,6 +403,19 @@ def _reference_validate(a, digits):
             raise ZeckDigitError(i + 1, f"digit must be in [0, {a}], got {digits[i]}")
         if digits[i] == a and digits[i - 1] != 0:
             raise ZeckDigitError(i + 1, f"alpha_{i + 1} = a requires alpha_{i} = 0")
+
+
+class _Index:
+    """A digit that is no int, though bytearray() takes it through __index__."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+    def __repr__(self):
+        return f"_Index({self.value})"
 
 
 def _assert_matches_reference(a, digits):
