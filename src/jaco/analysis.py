@@ -21,6 +21,10 @@ claims read at one order, the naive builder (linear in its Theta(n^2)
 output) and the quadratic path-count DP, are computed once per
 (a, capped n), and none is carried from one order to the next.
 
+Every claim reads each route on its defining module at call time
+(graph.build, paths.path_table), so a route patched there once is the one
+that every claim, and every route built on it, computes.
+
 One deliberate correction: the source material asserts that the prime
 Jaconian vertex is always the lowest in-neighbor c[n] of the last vertex,
 which is false at degree ties (J_4(1) has Jaconian set {v_2, v_3} but
@@ -36,22 +40,11 @@ from collections import namedtuple
 from itertools import chain, compress, repeat, takewhile, zip_longest
 from operator import eq, ne
 
-from . import graph as graph_mod
-from . import oracles
-from . import paths as paths_mod
-from . import sequences
-from .graph import (
-    JacoGraph,
-    arcs,
-    build,
-    degree_profile,
-    edge_count_direct,
-    hope_is_complete,
-    in_neighbors,
-    jaconian,
-    out_neighbors,
-)
-from .sequences import check_order
+from . import graph, oracles, paths, sequences
+
+# perfbench reads and traces this binding as jaco.analysis.edge_count_direct;
+# no claim reads it, each reads graph.edge_count_direct
+from .graph import edge_count_direct
 
 
 class TheoremViolationError(RuntimeError):
@@ -79,7 +72,7 @@ class VerificationReport(namedtuple("VerificationReport", "claims")):
         return all(c.passed for c in self.claims)
 
 
-def edge_count_theorem(g: JacoGraph) -> int:
+def edge_count_theorem(g: graph.JacoGraph) -> int:
     """Edge total via the Hope decomposition.
 
     Arcs with tail above the prime index k live in the complete subgraph
@@ -87,9 +80,9 @@ def edge_count_theorem(g: JacoGraph) -> int:
     out-degrees of v_1..v_k.  O(log n) per graph, through the summatory c.
     """
     seq, n = g
-    k = graph_mod._jaconian_at(seq, n)[1]
+    k = graph._jaconian_at(seq, n)[1]
     hope_size = n - k
-    return hope_size * (hope_size - 1) // 2 + graph_mod._out_arcs(g, k)
+    return hope_size * (hope_size - 1) // 2 + graph._out_arcs(g, k)
 
 
 def edge_count_recursive(a: int, n_max: int) -> list[int]:
@@ -104,7 +97,7 @@ def edge_count_recursive(a: int, n_max: int) -> list[int]:
     seq = sequences.c_series(a, n_max)
     eps = [0]
     for n in range(1, n_max):
-        delta, i, _ = graph_mod._jaconian_at(seq, n)
+        delta, i, _ = graph._jaconian_at(seq, n)
         eps.append(eps[-1] + n - i + (delta != a * i))
     return eps
 
@@ -117,7 +110,7 @@ def milestone_delta(a: int) -> int:
     bound = 2 * (target_delta + 1)
     seq = sequences.c_series(a, bound)
     for n in range(1, bound + 1):
-        delta, first, last = graph_mod._jaconian_at(seq, n)
+        delta, first, last = graph._jaconian_at(seq, n)
         if delta == target_delta and first == last == a + 1:
             return n
     raise TheoremViolationError(
@@ -137,8 +130,8 @@ def milestone_delta(a: int) -> int:
 # The routes that several claims read at the same order, keyed by (route,
 # a, n).  It is a dict only while verify_suite runs one order, so a claim
 # called on its own computes every route afresh, and no result outlives its
-# order, also when a claim raises.  The claims look each route up on its
-# module at call time, so a patched route is the one computed.
+# order, also when a claim raises.  Like every claim, they look each route
+# up on its module at call time, so a patched route is the one computed.
 _order_memo: dict[tuple[object, int, int], object] | None = None
 
 
@@ -157,11 +150,11 @@ def _naive_build(a, n):
 
 
 def _psi_oracle(g):
-    return _per_order(paths_mod.psi_oracle, g.a, g.n, g)
+    return _per_order(paths.psi_oracle, g.a, g.n, g)
 
 
 def _path_table(g):
-    return _per_order(paths_mod.path_table, g.a, g.n, g)
+    return _per_order(paths.path_table, g.a, g.n, g)
 
 
 def _claim_seed_values(a, n):
@@ -274,17 +267,19 @@ def _claim_arc_relation(a, n):
     # ends.  A failure names an arc in one set only, else the first position
     # where the streams differ (a repeated or misplaced arc), else the counts
     _, heads = _naive_build(a, n)
-    g = build(a, n)
-    count, naive = edge_count_direct(g), sum(map(len, heads))
+    g = graph.build(a, n)
+    count, naive = graph.edge_count_direct(g), sum(map(len, heads))
 
     def naive_arcs():
         return chain.from_iterable(zip(repeat(i), h) for i, h in enumerate(heads))
 
-    if count != naive or not all(map(eq, chain(arcs(g), (None,)), chain(naive_arcs(), (None,)))):
-        stray = sorted(set(arcs(g)) ^ set(naive_arcs()))
+    if count != naive or not all(
+        map(eq, chain(graph.arcs(g), (None,)), chain(naive_arcs(), (None,)))
+    ):
+        stray = sorted(set(graph.arcs(g)) ^ set(naive_arcs()))
         if stray:
             return f"a={a} arc={stray[0]}"
-        for k, (fast, slow) in enumerate(zip_longest(arcs(g), naive_arcs()), 1):
+        for k, (fast, slow) in enumerate(zip_longest(graph.arcs(g), naive_arcs()), 1):
             if fast != slow:
                 return f"a={a} position={k} arcs={fast} naive={slow}"
         return f"a={a} edges={count} naive={naive}"
@@ -305,9 +300,9 @@ def _claim_in_degree_stability(a, n):
     # arrivals never touch them, so J_n(a)'s in-neighbors are the ones v_j
     # gets in every J_m(a) with m >= j
     tails, _ = _naive_build(a, n)
-    g = build(a, n)
+    g = graph.build(a, n)
     for j in range(1, n + 1):
-        if list(graph_mod.in_neighbors(g, j)) != tails[j]:
+        if list(graph.in_neighbors(g, j)) != tails[j]:
             return f"a={a} j={j}"
 
 
@@ -316,19 +311,19 @@ def _claim_monotone_delta(a, n):
     seq = sequences.c_series(a, n)
     prev = 0
     for m in range(1, n + 1):
-        delta = graph_mod._jaconian_at(seq, m)[0]
+        delta = graph._jaconian_at(seq, m)[0]
         if not prev <= delta <= prev + 1:
             return f"a={a} n={m} delta {prev}->{delta}"
         prev = delta
-    g = JacoGraph(seq, n)
-    if jaconian(g) != oracles.jaconian_scan(g):
+    g = graph.JacoGraph(seq, n)
+    if graph.jaconian(g) != oracles.jaconian_scan(g):
         return f"a={a} n={n} sweep differs from full scan"
 
 
 def _claim_full_degree_prefix(a, n):
-    g = build(a, n)
-    d_tot = degree_profile(g).d_total
-    prime = jaconian(g).prime_index
+    g = graph.build(a, n)
+    d_tot = graph.degree_profile(g).d_total
+    prime = graph.jaconian(g).prime_index
     if d_tot[prime] == a * prime:
         for m in range(1, prime + 1):
             if d_tot[m] != a * m:
@@ -337,17 +332,17 @@ def _claim_full_degree_prefix(a, n):
 
 def _claim_complete_prefix(a, n):
     for m in range(1, a + 2):
-        g = build(a, m)
-        info = jaconian(g)
+        g = graph.build(a, m)
+        info = graph.jaconian(g)
         want_arcs = {(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)}
-        if set(arcs(g)) != want_arcs:
+        if set(graph.arcs(g)) != want_arcs:
             return f"a={a} m={m} not complete"
         if info.delta != m - 1 or info.jaconian_set != tuple(range(1, m + 1)):
             return f"a={a} m={m} jaconian"
 
 
 def _claim_degree_step(a, n):
-    d_tot = degree_profile(build(a, n)).d_total
+    d_tot = graph.degree_profile(graph.build(a, n)).d_total
     for i in range(2, n + 1):
         if abs(d_tot[i] - d_tot[i - 1]) > a:
             return f"a={a} i={i}"
@@ -358,10 +353,10 @@ def _claim_lowest_in_neighbor_attains_delta(a, n):
     # maximum degree (the stated "prime = c[n]" fails at degree ties)
     seq = sequences.c_series(a, n)
     for m in range(2, n + 1):
-        delta, first, _ = graph_mod._jaconian_at(seq, m)
-        g = JacoGraph(seq, m)
+        delta, first, _ = graph._jaconian_at(seq, m)
+        g = graph.JacoGraph(seq, m)
         lowest = seq.c[m]
-        if len(in_neighbors(g, lowest)) + len(out_neighbors(g, lowest)) != delta:
+        if len(graph.in_neighbors(g, lowest)) + len(graph.out_neighbors(g, lowest)) != delta:
             return f"a={a} n={m}"
         if first not in (lowest, lowest - 1):
             return f"a={a} n={m} prime={first}"
@@ -370,7 +365,7 @@ def _claim_lowest_in_neighbor_attains_delta(a, n):
 def _claim_hope_complete(a, n):
     seq = sequences.c_series(a, n)
     for m in range(1, n + 1):
-        ok, witness = hope_is_complete(JacoGraph(seq, m))
+        ok, witness = graph.hope_is_complete(graph.JacoGraph(seq, m))
         if not ok:
             return f"a={a} n={m} missing={witness}"
 
@@ -380,8 +375,8 @@ def _claim_edge_triple(a, n):
     # prefix, and the last prefix also against the literal out-degree sum
     seq = sequences.c_series(a, n)
     for m, rec in enumerate(edge_count_recursive(a, n), 1):
-        g = JacoGraph(seq, m)
-        direct = edge_count_direct(g)
+        g = graph.JacoGraph(seq, m)
+        direct = graph.edge_count_direct(g)
         thm = edge_count_theorem(g)
         if not direct == thm == rec:
             return f"a={a} n={m} direct={direct} theorem={thm} recursive={rec}"
@@ -392,7 +387,7 @@ def _claim_edge_triple(a, n):
 
 def _claim_complete_prefix_count(a, n):
     for m in range(1, a + 2):
-        if edge_count_direct(build(a, m)) != m * (m - 1) // 2:
+        if graph.edge_count_direct(graph.build(a, m)) != m * (m - 1) // 2:
             return f"a={a} m={m}"
 
 
@@ -406,8 +401,8 @@ def _claim_milestone(a, n):
 
 
 def _claim_distances(a, n):
-    g = build(a, n)
-    fast = paths_mod.distances(g)
+    g = graph.build(a, n)
+    fast = paths.distances(g)
     slow = oracles.bfs_distances(g)
     for i in range(1, n + 1):
         if fast[i] != slow[i]:
@@ -415,7 +410,7 @@ def _claim_distances(a, n):
 
 
 def _claim_psi_recursion(a, n):
-    g = build(a, n)
+    g = graph.build(a, n)
     rec = oracles.psi_recursive(g)
     dp = _psi_oracle(g)
     if rec != dp:
@@ -424,7 +419,7 @@ def _claim_psi_recursion(a, n):
 
 
 def _claim_psi_fast(a, n):
-    g = build(a, n)
+    g = graph.build(a, n)
     fast = _path_table(g).psi
     slow = _psi_oracle(g)
     if fast != slow:
@@ -433,7 +428,7 @@ def _claim_psi_fast(a, n):
 
 
 def _claim_psi_enumeration(a, n):
-    g = build(a, n)
+    g = graph.build(a, n)
     psi = _psi_oracle(g)
     for j in range(1, n + 1):
         count = len(oracles.enumerate_shortest_paths(g, j))
@@ -446,8 +441,8 @@ def _claim_uniqueness_biconditional(a, n):
     # report must carry the same three fields: its own mismatches are not
     # taken as given.  The report comes first, so the path table that
     # uniqueness_check builds is gone before the shared one is built
-    g = build(a, n)
-    report = paths_mod.uniqueness_check(g)
+    g = graph.build(a, n)
+    report = paths.uniqueness_check(g)
     psi = _path_table(g).psi
     liz = set(sequences.recurrence_terms(a, 1, 1, at_least=n))
     unique = (False, *map((1).__eq__, psi[1:]))
@@ -466,7 +461,7 @@ def _claim_level_ends(a, n):
     # (L) of the level theorem: the levels of the distances end at the Liz
     # numbers below n, and c[B_{m+1}] = B_m; and each Liz vertex has one
     # shortest path (step 3 of its proof)
-    g = build(a, n)
+    g = graph.build(a, n)
     table = _path_table(g)
     dist, psi, c = table.dist, table.psi, g.seq.c
     liz = sequences.recurrence_terms(a, 1, 1, at_least=n)  # 1, 1, a+1, ...
@@ -484,8 +479,8 @@ def _claim_level_ends(a, n):
 def _claim_non_repetition(a, n):
     # (N) of the level theorem: the c triple at k is non-repetitive exactly
     # when the psi triple is
-    g = build(a, n)
-    report = paths_mod.ConjectureReport(g.seq.c, _path_table(g).psi)
+    g = graph.build(a, n)
+    report = paths.ConjectureReport(g.seq.c, _path_table(g).psi)
     if report.violations:
         k = next(k for k, _, _, forward, converse in report.rows if not forward or not converse)
         return f"a={a} k={k}"
@@ -571,7 +566,7 @@ def verify_suite(a_min: int, a_max: int, n: int) -> VerificationReport:
     registry order, so each claim reports its first counterexample.
     """
     global _order_memo
-    check_order(a_min)
+    sequences.check_order(a_min)
     if a_max < a_min:
         raise ValueError(f"a_max must be >= a_min, got {a_min}..{a_max}")
     if n < 1:

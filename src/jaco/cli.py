@@ -18,8 +18,7 @@ import os
 import stat
 import sys
 
-from . import analysis, export, paths, sequences
-from .graph import build
+from . import analysis, export, graph, paths, sequences
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -165,7 +164,7 @@ def _write_text(handle, text: str) -> None:
 
 
 def _cmd_build(args) -> tuple[str, bool]:
-    return export.render(build(args.a, args.n), args.format), True
+    return export.render(graph.build(args.a, args.n), args.format), True
 
 
 def _cmd_seq(args) -> tuple[str, bool]:
@@ -195,7 +194,7 @@ def _cmd_verify(args) -> tuple[str, bool]:
 
 
 def _cmd_paths(args) -> tuple[str, bool]:
-    g = build(args.a, args.n)
+    g = graph.build(args.a, args.n)
     if args.psi:
         table = paths.path_table(g)
         dist, psi = table.dist, table.psi

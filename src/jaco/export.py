@@ -16,13 +16,12 @@ from __future__ import annotations
 
 from itertools import islice
 
-from .graph import JacoGraph, _last_heads, degree_profile, jaconian
-from .sequences import SequenceTable
+from . import graph, sequences
 
 FORMATS = ("dot", "json", "csv")  # each renders through to_<format>
 
 
-def _arc_pieces(g: JacoGraph, tail: str, end: str, gap: str = "") -> list[str]:
+def _arc_pieces(g: graph.JacoGraph, tail: str, end: str, gap: str = "") -> list[str]:
     """Pieces whose join is every arc (i, j) as tail % i + str(j) + end,
     joined by gap, in order.
 
@@ -33,7 +32,7 @@ def _arc_pieces(g: JacoGraph, tail: str, end: str, gap: str = "") -> list[str]:
     """
     names = list(map(str, range(g.n + 1)))
     pieces: list[str] = []
-    for i, r in enumerate(_last_heads(g), 1):
+    for i, r in enumerate(graph._last_heads(g), 1):
         if r > i:
             opening = tail % i
             if pieces:
@@ -42,13 +41,13 @@ def _arc_pieces(g: JacoGraph, tail: str, end: str, gap: str = "") -> list[str]:
     return pieces
 
 
-def to_dot(g: JacoGraph) -> str:
+def to_dot(g: graph.JacoGraph) -> str:
     """Graphviz digraph, one arc per line; a lone v1 is still declared."""
     pieces = _arc_pieces(g, "  v%d -> v", ";\n") or ["  v1;\n"]
     return "".join([f"digraph jaco_a{g.a}_n{g.n} {{\n", *pieces, "}\n"])
 
 
-def to_json(g: JacoGraph) -> str:
+def to_json(g: graph.JacoGraph) -> str:
     """Single JSON object with arcs, degrees and the Jaconian summary.
 
     Vertex indices are 1-based; degree arrays are ordered v_1..v_n; hope
@@ -58,8 +57,8 @@ def to_json(g: JacoGraph) -> str:
     """
     import json  # here, not at the top: only this renderer needs it
 
-    profile = degree_profile(g)
-    info = jaconian(g)
+    profile = graph.degree_profile(g)
+    info = graph.jaconian(g)
     hope = [info.hope_range[0], info.hope_range[-1]] if len(info.hope_range) else None
     before = json.dumps({"a": g.a, "n": g.n})
     after = json.dumps({
@@ -75,7 +74,7 @@ def to_json(g: JacoGraph) -> str:
     return "".join([f'{before[:-1]}, "edges": [', *edges, f"], {after[1:]}\n"])
 
 
-def to_csv(g: JacoGraph) -> str:
+def to_csv(g: graph.JacoGraph) -> str:
     """Arc list as CSV with a tail,head header."""
     return "".join(["tail,head\n", *_arc_pieces(g, "%d,", "\n")])
 
@@ -83,7 +82,7 @@ def to_csv(g: JacoGraph) -> str:
 _SEQ_BLOCK = 2048  # rows per join in seq_dump
 
 
-def seq_dump(t: SequenceTable) -> str:
+def seq_dump(t: sequences.SequenceTable) -> str:
     """Tab-separated sequence table, one row per n of the table, from 0.
 
     The rows are joined _SEQ_BLOCK at a time, so only one block of row
@@ -100,7 +99,7 @@ def seq_dump(t: SequenceTable) -> str:
     return "".join(blocks)
 
 
-def render(g: JacoGraph, fmt: str) -> str:
+def render(g: graph.JacoGraph, fmt: str) -> str:
     """Dispatch to the graph format's renderer, to_<fmt>.
 
     The renderer is looked up by name when called, not held in a table,

@@ -33,7 +33,7 @@ from collections import namedtuple
 from collections.abc import Iterator
 from itertools import chain, repeat
 
-from .sequences import SequenceTable, c_series
+from . import sequences
 
 
 _GraphFields = namedtuple("JacoGraph", "seq n")
@@ -49,7 +49,7 @@ class JacoGraph(_GraphFields):
 
     __slots__ = ()
 
-    def __new__(cls, seq: SequenceTable, n: int):
+    def __new__(cls, seq: sequences.SequenceTable, n: int):
         if not 1 <= n < len(seq.c):
             raise ValueError(f"vertex count n must be in 1..{len(seq.c) - 1}, got {n}")
         return _GraphFields.__new__(cls, seq, n)
@@ -94,7 +94,7 @@ class JaconianInfo(namedtuple("JaconianInfo", "delta jaconian_set hope_range")):
 
 def build(a: int, n: int) -> JacoGraph:
     """Construct J_n(a) in O(n): the sequence table is the whole graph."""
-    return JacoGraph(c_series(a, n), n)
+    return JacoGraph(sequences.c_series(a, n), n)
 
 
 def _check_vertex(g: JacoGraph, i: int) -> None:
@@ -197,7 +197,7 @@ def edge_count_direct(g: JacoGraph) -> int:
     return _out_arcs(g, g.n)
 
 
-def _jaconian_at(seq: SequenceTable, m: int) -> tuple[int, int, int]:
+def _jaconian_at(seq: sequences.SequenceTable, m: int) -> tuple[int, int, int]:
     """(delta, first, last) of J_m(a) on the table seq, in O(1).
 
     delta is the maximum degree of J_m(a); the vertices attaining it are

@@ -18,14 +18,13 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 
-from .graph import JacoGraph, JaconianInfo, degree_profile, out_neighbors
-from .sequences import check_order, recurrence_terms
+from . import graph, sequences
 
 
 def c_series_bruteforce(a: int, horizon: int) -> list[int]:
     """c[n] as the least k < n with a*k + c[k] >= n, found by scanning k
     upward from 1 and stopping at the first hit."""
-    check_order(a)
+    sequences.check_order(a)
     c = [0] * (horizon + 1)
     if horizon >= 1:
         c[1] = 1
@@ -50,7 +49,7 @@ def naive_build(a: int, n: int) -> tuple[list[list[int]], list[list[int]]]:
     tails[j] lists the v_i with an arc to v_j and heads[i] the v_j that v_i
     has an arc to, both ascending, so d_in(v_i) is len(tails[i]).
     """
-    check_order(a)
+    sequences.check_order(a)
     tails: list[list[int]] = [[] for _ in range(n + 1)]
     heads: list[list[int]] = [[] for _ in range(n + 1)]
     # heads are slices of one list, so they share its int objects
@@ -70,18 +69,18 @@ def naive_build(a: int, n: int) -> tuple[list[list[int]], list[list[int]]]:
     return tails, heads
 
 
-def jaconian_scan(g: JacoGraph) -> JaconianInfo:
+def jaconian_scan(g: graph.JacoGraph) -> graph.JaconianInfo:
     """Maximum total degree, the vertices attaining it and the Hope range,
     by scanning the degree of every vertex."""
-    d_tot = degree_profile(g).d_total
+    d_tot = graph.degree_profile(g).d_total
     delta = max(d_tot[1:])
     jset = tuple(i for i in range(1, g.n + 1) if d_tot[i] == delta)
-    return JaconianInfo(delta, jset, range(jset[0] + 1, g.n + 1))
+    return graph.JaconianInfo(delta, jset, range(jset[0] + 1, g.n + 1))
 
 
-def out_degree_sum(g: JacoGraph, k: int) -> int:
+def out_degree_sum(g: graph.JacoGraph, k: int) -> int:
     """Arcs leaving v_1..v_k, one out-neighborhood at a time."""
-    return sum(len(out_neighbors(g, i)) for i in range(1, k + 1))
+    return sum(len(graph.out_neighbors(g, i)) for i in range(1, k + 1))
 
 
 def enumerate_zeck_reps(a: int, max_value: int) -> dict[int, list[tuple[int, ...]]]:
@@ -91,7 +90,7 @@ def enumerate_zeck_reps(a: int, max_value: int) -> dict[int, list[tuple[int, ...
     honoring alpha_1 < a, alpha_i <= a, and "a full digit forces a zero
     below it".  Uniqueness means every value maps to exactly one string.
     """
-    check_order(a)
+    sequences.check_order(a)
     terms = [0, 1, a]
     while terms[-1] < max_value:
         terms.append(a * terms[-1] + terms[-2])
@@ -124,7 +123,7 @@ def enumerate_zeck_reps(a: int, max_value: int) -> dict[int, list[tuple[int, ...
     return found
 
 
-def bfs_distances(g: JacoGraph) -> list[int]:
+def bfs_distances(g: graph.JacoGraph) -> list[int]:
     """Hop distances from v_1 by breadth-first search over directed arcs.
 
     Unreachable vertices would get -1; in a Jaco graph every vertex is
@@ -135,14 +134,14 @@ def bfs_distances(g: JacoGraph) -> list[int]:
     queue = deque([1])
     while queue:
         i = queue.popleft()
-        for j in out_neighbors(g, i):
+        for j in graph.out_neighbors(g, i):
             if dist[j] == -1:
                 dist[j] = dist[i] + 1
                 queue.append(j)
     return dist
 
 
-def enumerate_shortest_paths(g: JacoGraph, target: int) -> list[tuple[int, ...]]:
+def enumerate_shortest_paths(g: graph.JacoGraph, target: int) -> list[tuple[int, ...]]:
     """Every shortest directed path v_1 -> v_target, as vertex tuples.
 
     Arcs only go forward, so every path to v_target stays inside
@@ -151,7 +150,7 @@ def enumerate_shortest_paths(g: JacoGraph, target: int) -> list[tuple[int, ...]]
     memoization, so the count is a genuine enumeration rather than the
     dynamic program it checks.  Small n only.
     """
-    dist = bfs_distances(JacoGraph(g.seq, target))
+    dist = bfs_distances(graph.JacoGraph(g.seq, target))
     paths: list[tuple[int, ...]] = []
 
     def back(j: int, suffix: tuple[int, ...]) -> None:
@@ -166,7 +165,7 @@ def enumerate_shortest_paths(g: JacoGraph, target: int) -> list[tuple[int, ...]]
     return paths
 
 
-def psi_recursive(g: JacoGraph) -> tuple[int, ...]:
+def psi_recursive(g: graph.JacoGraph) -> tuple[int, ...]:
     """Path counts by the Liz-window recursion, at any order.
 
     A vertex whose c[j] is a Liz number has a unique shortest path (count
@@ -175,7 +174,7 @@ def psi_recursive(g: JacoGraph) -> tuple[int, ...]:
     order 1 these are the Fibonacci numbers, as in the source paper.
     """
     c = g.seq.c
-    liz = recurrence_terms(g.a, 1, 1, at_least=g.n)  # 1, 1, a+1, ...
+    liz = sequences.recurrence_terms(g.a, 1, 1, at_least=g.n)  # 1, 1, a+1, ...
     lizset = set(liz)
     psi = [0] * (g.n + 1)
     psi[1] = 1

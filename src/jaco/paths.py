@@ -64,8 +64,7 @@ from collections.abc import Iterator
 from itertools import accumulate, chain, compress, islice, repeat
 from operator import and_, ne, sub
 
-from .graph import JacoGraph, build
-from .sequences import recurrence_terms
+from . import graph, sequences
 
 
 class PathTable(namedtuple("PathTable", "dist psi")):
@@ -136,7 +135,7 @@ def _non_repetitive(x: tuple[int, ...], n_max: int) -> list[bool]:
     return list(map(and_, steps, steps[1:]))
 
 
-def _levels(g: JacoGraph) -> Iterator[tuple[int, int]]:
+def _levels(g: graph.JacoGraph) -> Iterator[tuple[int, int]]:
     """Yield the first and last vertex of each distance level, v_1's first.
 
     Level 0 is {v_1}.  dist[i] = dist[c[i]] + 1 and c is non-decreasing,
@@ -153,13 +152,13 @@ def _levels(g: JacoGraph) -> Iterator[tuple[int, int]]:
         s, e = e + 1, min(a * e + c[e], n)
 
 
-def distances(g: JacoGraph) -> tuple[int, ...]:
+def distances(g: graph.JacoGraph) -> tuple[int, ...]:
     """dist[i] = hops from v_1 to v_i, with dist[0] = 0: a run of d per level d."""
     runs = (repeat(d, e - s + 1) for d, (s, e) in enumerate(_levels(g)))
     return tuple(chain((0,), chain.from_iterable(runs)))
 
 
-def psi_oracle(g: JacoGraph) -> tuple[int, ...]:
+def psi_oracle(g: graph.JacoGraph) -> tuple[int, ...]:
     """Shortest-path counts by the standard DAG dynamic program.
 
     psi[j] sums psi over in-neighbors one hop closer to v_1; the
@@ -176,7 +175,7 @@ def psi_oracle(g: JacoGraph) -> tuple[int, ...]:
     return tuple(psi)
 
 
-def path_table(g: JacoGraph) -> PathTable:
+def path_table(g: graph.JacoGraph) -> PathTable:
     """Distances plus path counts for any order in O(n), one level at a time.
 
     The in-neighbors of v_j one hop closer to v_1 are exactly [c[j], s-1],
@@ -202,11 +201,11 @@ def path_table(g: JacoGraph) -> PathTable:
     return PathTable(dist, tuple(psi))
 
 
-def uniqueness_check(g: JacoGraph) -> UniquenessReport:
+def uniqueness_check(g: graph.JacoGraph) -> UniquenessReport:
     """Compare path uniqueness with the Liz criterion: c[j] is a Liz number."""
     psi = path_table(g).psi
     c = g.seq.c[: g.n + 1]
-    liz = set(recurrence_terms(g.a, 1, 1, at_least=c[-1]))
+    liz = set(sequences.recurrence_terms(g.a, 1, 1, at_least=c[-1]))
     unique = (False, *map((1).__eq__, psi[1:]))
     criterion = (False, *map(liz.__contains__, c[1:]))
     mismatches = tuple(compress(range(1, g.n + 1), map(ne, unique[1:], criterion[1:])))
@@ -222,7 +221,7 @@ def conjecture_scan(n_max: int) -> ConjectureReport:
     """
     if n_max < 9:
         raise ValueError(f"n_max must be >= 9, got {n_max}")
-    g = build(1, n_max)
+    g = graph.build(1, n_max)
     return ConjectureReport(g.seq.c, path_table(g).psi)  # at order 1, dplus = c
 
 

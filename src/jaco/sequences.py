@@ -206,10 +206,10 @@ def validate_digits(a: int, digits: tuple[int, ...]) -> None:
     class is below full, no class is above a, and no full digit follows a
     nonzero one.  A string that fails the screen, whose digits are no
     bytes (a digit outside 0..255 raises ValueError, one with no
-    __index__ TypeError), whose digit sum is no int (a digit that is no
-    int but has an __index__), or that is no tuple, is walked digit by
-    digit, which names the first bad index: first the first digit that is
-    no int, then the first constraint broken.
+    __index__ TypeError), that holds a digit that is no int (one with an
+    __index__), or that is no tuple, is walked digit by digit, which
+    names the first bad index: first the first digit that is no int, then
+    the first constraint broken.
     """
     check_order(a)
     if not digits:
@@ -219,9 +219,9 @@ def validate_digits(a: int, digits: tuple[int, ...]) -> None:
         try:
             raw = bytearray(digits)
             # bytearray also takes a digit that is no int through its
-            # __index__; the sum of ints is an int, while a numpy integer
-            # makes it numpy's type and a bare __index__ raises TypeError
-            ints = type(sum(digits)) is int
+            # __index__, and a sum can come out an int through __radd__:
+            # only the walk's own isinstance test is exact
+            ints = all(map(int.__instancecheck__, digits))
         except (ValueError, TypeError):
             ints = False
         if ints:

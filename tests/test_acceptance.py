@@ -7,14 +7,13 @@ from itertools import chain, repeat, starmap, zip_longest
 from operator import eq
 
 from jaco.analysis import (
-    edge_count_direct,
     edge_count_recursive,
     edge_count_theorem,
     milestone_delta,
 )
 from jaco.cli import main
 from jaco.export import seq_dump, to_csv, to_dot, to_json
-from jaco.graph import JacoGraph, arcs, build, jaconian
+from jaco.graph import JacoGraph, arcs, build, edge_count_direct, jaconian
 from jaco.oracles import (
     bfs_distances,
     enumerate_shortest_paths,

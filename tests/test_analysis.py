@@ -11,14 +11,13 @@ from hypothesis import strategies as st
 from jaco import analysis, graph, oracles, paths, sequences
 from jaco.analysis import (
     TheoremViolationError,
-    edge_count_direct,
     edge_count_recursive,
     edge_count_theorem,
     milestone_delta,
     render_report,
     verify_suite,
 )
-from jaco.graph import build
+from jaco.graph import build, edge_count_direct
 from jaco.oracles import naive_build, out_degree_sum
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -41,6 +40,13 @@ def _swapped(stream, k):
     arcs = list(stream)
     arcs[k - 1], arcs[k] = arcs[k], arcs[k - 1]
     return iter(arcs)
+
+
+def _bumped(seq, i):
+    """The sequence table with c[i] one larger."""
+    c = list(seq.c)
+    c[i] += 1
+    return sequences.SequenceTable(seq.a, tuple(c))
 
 
 class TestEdgeCounts:
@@ -144,21 +150,21 @@ class TestVerifySuite:
         "target, warp, grid, failures",
         [
             pytest.param(
-                (analysis.sequences, "c_closed"),
+                (sequences, "c_closed"),
                 lambda real: lambda a, n: real(a, n) + ((a, n) == (2, 17)),
                 (2, 2, 40),
                 {"seq.closed_form": "a=2 n=17"},
                 id="closed_form",
             ),
             pytest.param(
-                (analysis.sequences, "c_beatty"),
+                (sequences, "c_beatty"),
                 lambda real: lambda a, n: real(a, n) + ((a, n) == (2, 17)),
                 (1, 3, 40),
                 {"seq.beatty_form": "a=2 n=17"},
                 id="beatty_form",
             ),
             pytest.param(
-                (analysis.graph_mod, "in_neighbors"),
+                (graph, "in_neighbors"),
                 lambda real: lambda g, j: real(g, j)[1:] if j == 150 else real(g, j),
                 (1, 3, 200),
                 # the claim reads the tails of every vertex, not only of v_{c[m]}
@@ -166,7 +172,7 @@ class TestVerifySuite:
                 id="in_degree_stability",
             ),
             pytest.param(
-                (analysis.paths_mod, "uniqueness_check"),
+                (paths, "uniqueness_check"),
                 lambda real: lambda g: real(g)._replace(unique=tuple(
                     not u if j == 100 else u for j, u in enumerate(real(g).unique)
                 )),
@@ -177,7 +183,7 @@ class TestVerifySuite:
                 id="uniqueness_report_not_trusted",
             ),
             pytest.param(
-                (analysis.paths_mod, "psi_oracle"),
+                (paths, "psi_oracle"),
                 lambda real: lambda g: tuple(
                     p + (g.n == 40 and j == 8) for j, p in enumerate(real(g))
                 ),
@@ -189,7 +195,7 @@ class TestVerifySuite:
                 id="psi_oracle",
             ),
             pytest.param(
-                (analysis.paths_mod, "path_table"),
+                (paths, "path_table"),
                 lambda real: lambda g: real(g)._replace(psi=tuple(
                     p + (g.n == 40 and j == 8) for j, p in enumerate(real(g).psi)
                 )),
@@ -205,7 +211,7 @@ class TestVerifySuite:
                 id="psi_one_at_fib",
             ),
             pytest.param(
-                (analysis.paths_mod, "distances"),
+                (paths, "distances"),
                 lambda real: lambda g: tuple(
                     d + (g.n == 40 and j == 5) for j, d in enumerate(real(g))
                 ),
@@ -222,7 +228,7 @@ class TestVerifySuite:
                 id="shifted_level_end",
             ),
             pytest.param(
-                (analysis.graph_mod, "_jaconian_at"),
+                (graph, "_jaconian_at"),
                 lambda real: lambda seq, m: (
                     (real(seq, m)[0] + 1, *real(seq, m)[1:]) if m == 20 else real(seq, m)
                 ),
@@ -238,14 +244,14 @@ class TestVerifySuite:
                 id="prefix_sweep_delta",
             ),
             pytest.param(
-                (analysis.oracles, "jaconian_scan"),
+                (oracles, "jaconian_scan"),
                 lambda real: lambda g: real(g)._replace(delta=real(g).delta + 1),
                 (1, 1, 40),
                 {"graph.monotone_delta": "a=1 n=40 sweep differs from full scan"},
                 id="jaconian_scan",
             ),
             pytest.param(
-                (analysis.graph_mod, "jaconian"),
+                (graph, "jaconian"),
                 lambda real: lambda g: (
                     real(g)._replace(hope_range=range(1, g.n + 1))
                     if g.n == 20 else real(g)
@@ -255,7 +261,7 @@ class TestVerifySuite:
                 id="hope_range",
             ),
             pytest.param(
-                (analysis, "edge_count_direct"),
+                (graph, "edge_count_direct"),
                 lambda real: lambda g: real(g) + (g.n == 40),
                 (1, 1, 40),
                 {
@@ -268,7 +274,7 @@ class TestVerifySuite:
                 id="edge_count_direct",
             ),
             pytest.param(
-                (analysis.oracles, "naive_build"),
+                (oracles, "naive_build"),
                 lambda real: lambda a, n: _toggle_arc(real(a, n), 8, 11),
                 (1, 1, 40),
                 {
@@ -281,7 +287,7 @@ class TestVerifySuite:
                 id="naive_build_drops_arc",
             ),
             pytest.param(
-                (analysis.oracles, "naive_build"),
+                (oracles, "naive_build"),
                 lambda real: lambda a, n: (
                     _toggle_arc(real(a, n), 8, 11) if a == 2 else real(a, n)
                 ),
@@ -295,7 +301,7 @@ class TestVerifySuite:
                 id="naive_build_drops_arc_at_order_2",
             ),
             pytest.param(
-                (analysis.oracles, "naive_build"),
+                (oracles, "naive_build"),
                 lambda real: lambda a, n: _toggle_arc(real(a, n), 1, 40),
                 (1, 1, 40),
                 {
@@ -307,7 +313,7 @@ class TestVerifySuite:
                 id="naive_build_adds_arc",
             ),
             pytest.param(
-                (analysis.oracles, "naive_build"),
+                (oracles, "naive_build"),
                 lambda real: lambda a, n: _toggle_arc(real(a, n), 9, 11, in_heads=False),
                 (1, 1, 40),
                 # the arc relation reads heads only; tails[11] becomes 7, 8, 10
@@ -318,7 +324,7 @@ class TestVerifySuite:
                 id="naive_build_tails_gap",
             ),
             pytest.param(
-                (analysis, "arcs"),
+                (graph, "arcs"),
                 lambda real: lambda g: iter(list(real(g))[:-1]) if g.n == 40 else real(g),
                 (1, 1, 40),
                 # the counts agree, so only the lost last arc can show it
@@ -326,7 +332,7 @@ class TestVerifySuite:
                 id="arcs_loses_last",
             ),
             pytest.param(
-                (analysis, "arcs"),
+                (graph, "arcs"),
                 lambda real: lambda g: chain(real(g), [(1, 40)]) if g.n == 40 else real(g),
                 (1, 1, 40),
                 # the counts agree, so only the stream's extra arc can show it
@@ -334,7 +340,7 @@ class TestVerifySuite:
                 id="arcs_gains_arc",
             ),
             pytest.param(
-                (analysis, "arcs"),
+                (graph, "arcs"),
                 lambda real: lambda g: chain(real(g), [(39, 40)]) if g.n == 40 else real(g),
                 (1, 1, 40),
                 # the arc sets and the counts agree: only the position where
@@ -347,7 +353,7 @@ class TestVerifySuite:
                 id="arcs_repeats_last",
             ),
             pytest.param(
-                (analysis, "arcs"),
+                (graph, "arcs"),
                 lambda real: lambda g: _swapped(real(g), 11) if g.n == 40 else real(g),
                 (1, 1, 40),
                 # the 11th and 12th arcs are (6, 7) and (6, 8)
@@ -371,13 +377,116 @@ class TestVerifySuite:
                 id="edge_count_recursive",
             ),
             pytest.param(
-                (analysis.oracles, "c_series_bruteforce"),
+                (oracles, "c_series_bruteforce"),
                 lambda real: lambda a, n: [
                     v + (a == 1 and i == 17) for i, v in enumerate(real(a, n))
                 ],
                 (1, 1, 40),
                 {"seq.matches_bruteforce_definition": "a=1 n=17"},
                 id="c_series_bruteforce",
+            ),
+            # each route below is planted once, on its defining module, and
+            # every claim that reads it through a graph or a table sees it
+            pytest.param(
+                (graph, "jaconian"),
+                lambda real: lambda g: (
+                    real(g)._replace(delta=real(g).delta + 1) if (g.a, g.n) == (2, 40) else real(g)
+                ),
+                (1, 3, 40),
+                {"graph.monotone_delta": "a=2 n=40 sweep differs from full scan"},
+                id="jaconian_delta",
+            ),
+            pytest.param(
+                (graph, "out_neighbors"),
+                lambda real: lambda g, i: real(g, i)[:-1] if (g.a, i) == (2, 10) else real(g, i),
+                (1, 3, 40),
+                {
+                    # v_10 is the lowest in-neighbor of v_23
+                    "graph.lowest_in_neighbor_attains_delta": "a=2 n=23",
+                    "analysis.edge_count_triple_agreement": "a=2 n=40 direct=472 literal=471",
+                },
+                id="out_neighbors",
+            ),
+            pytest.param(
+                (graph, "degree_profile"),
+                lambda real: lambda g: (
+                    real(g)._replace(d_total=tuple(
+                        d + (j == 10) for j, d in enumerate(real(g).d_total)
+                    )) if (g.a, g.n) == (2, 40) else real(g)
+                ),
+                (1, 3, 40),
+                {"graph.degree_step_bound": "a=2 i=10"},
+                id="degree_profile",
+            ),
+            pytest.param(
+                (graph, "edge_count_direct"),
+                lambda real: lambda g: real(g) + ((g.a, g.n) == (3, 40)),
+                (1, 3, 40),
+                {
+                    "graph.arc_relation_matches_naive_builder": "a=3 edges=562 naive=561",
+                    "analysis.edge_count_triple_agreement": (
+                        "a=3 n=40 direct=562 theorem=561 recursive=561"
+                    ),
+                },
+                id="edge_count_direct_at_order_3",
+            ),
+            pytest.param(
+                (graph, "arcs"),
+                lambda real: lambda g: (
+                    iter(list(real(g))[:-1]) if (g.a, g.n) == (2, 40) else real(g)
+                ),
+                (1, 3, 40),
+                {"graph.arc_relation_matches_naive_builder": "a=2 arc=(39, 40)"},
+                id="arcs_loses_last_at_order_2",
+            ),
+            pytest.param(
+                (graph, "hope_is_complete"),
+                lambda real: lambda g: (False, (0, 0)) if (g.a, g.n) == (2, 20) else real(g),
+                (1, 3, 40),
+                {"graph.hope_complete": "a=2 n=20 missing=(0, 0)"},
+                id="hope_is_complete",
+            ),
+            pytest.param(
+                (graph, "build"),
+                lambda real: lambda a, n: (
+                    graph.JacoGraph(_bumped(real(a, n).seq, 17), n) if a == 2 and n >= 17
+                    else real(a, n)
+                ),
+                (1, 3, 40),
+                # the claims that read c_series itself pass
+                {
+                    "graph.in_degree_stability": "a=2 j=17",
+                    "paths.psi_recursion_matches_dp": "a=2 j=40 recursion=1 dp=0",
+                    "paths.psi_fast_matches_dp": "a=2 j=17",
+                    "paths.uniqueness_biconditional": "a=2 j=40 unique=False liz=True",
+                    "paths.level_ends_are_liz": "a=2 liz=17 c=8",
+                    "paths.non_repetition_any_order": "a=2 k=17",
+                },
+                id="build",
+            ),
+            pytest.param(
+                (sequences, "c_series"),
+                lambda real: lambda a, horizon: (
+                    _bumped(real(a, horizon), 17) if a == 2 and horizon >= 17
+                    else real(a, horizon)
+                ),
+                (1, 3, 40),
+                # the claims that read c_series and those that read a built graph
+                {
+                    "seq.degree_identity": "a=2 n=7",
+                    "seq.matches_bruteforce_definition": "a=2 n=17",
+                    "seq.closed_form": "a=2 n=17",
+                    "seq.fixpoint": "a=2 k=7 b=0",
+                    "seq.beatty_form": "a=2 n=17",
+                    "graph.in_degree_stability": "a=2 j=17",
+                    "graph.lowest_in_neighbor_attains_delta": "a=2 n=17",
+                    "paths.psi_recursion_matches_dp": "a=2 j=40 recursion=1 dp=0",
+                    "paths.psi_fast_matches_dp": "a=2 j=17",
+                    "paths.uniqueness_biconditional": "a=2 j=40 unique=False liz=True",
+                    "paths.level_ends_are_liz": "a=2 liz=17 c=8",
+                    "paths.non_repetition_any_order": "a=2 k=17",
+                },
+                id="c_series",
             ),
         ],
     )
@@ -533,10 +642,7 @@ def test_prefix_searches_do_not_rescan_per_prefix(monkeypatch):
             return real(*args)
         return counted
 
-    scan = counter("degree_profile", graph.degree_profile)
-    for module in (graph, analysis):
-        monkeypatch.setattr(module, "degree_profile", scan)
-    oracles = analysis.oracles
+    monkeypatch.setattr(graph, "degree_profile", counter("degree_profile", graph.degree_profile))
     monkeypatch.setattr(oracles, "jaconian_scan", counter("jaconian_scan", oracles.jaconian_scan))
 
     def count(fn, *args):
@@ -579,8 +685,7 @@ def test_single_graph_routes_make_no_degree_scan(monkeypatch):
         calls["degree_profile"] += 1
         return real(g)
 
-    for module in (graph, analysis):
-        monkeypatch.setattr(module, "degree_profile", counted)
+    monkeypatch.setattr(graph, "degree_profile", counted)
     g = build(2, 5000)
     graph.jaconian(g)
     edge_count_direct(g)
@@ -592,13 +697,13 @@ def test_single_graph_routes_make_no_degree_scan(monkeypatch):
 
 def _flat_table(a, horizon):
     # a degenerate table: c = 0 everywhere, so every v_j has in-window [0, j-1]
-    return analysis.sequences.SequenceTable(a, tuple([0] * (horizon + 1)))
+    return sequences.SequenceTable(a, tuple([0] * (horizon + 1)))
 
 
 def test_milestone_reports_violation_when_search_exhausts(monkeypatch):
     # in the flat table no vertex ever reaches the target degree; the
     # bounded search must fail loudly
-    monkeypatch.setattr(analysis.sequences, "c_series", _flat_table)
+    monkeypatch.setattr(sequences, "c_series", _flat_table)
     with pytest.raises(TheoremViolationError):
         milestone_delta(2)
 
@@ -607,7 +712,7 @@ def test_degree_identity_counts_out_degrees_from_the_in_windows(monkeypatch):
     # dplus[m] + m - c[m] = a*m holds for any table by the column
     # definition; the out-degree read off the in-windows does not
     assert analysis._claim_degree_identity(2, 50) is None
-    monkeypatch.setattr(analysis.sequences, "c_series", _flat_table)
+    monkeypatch.setattr(sequences, "c_series", _flat_table)
     assert analysis._claim_degree_identity(2, 50) == "a=2 n=1"
 
 
@@ -615,13 +720,13 @@ def test_seed_values_claim_builds_two_terms_whatever_n(monkeypatch):
     # the claim reads c[0] and c[1] only; a table to n = 10**6 would be
     # millions of terms for a check that needs two
     horizons = []
-    real_table = analysis.sequences.c_series
+    real_table = sequences.c_series
 
     def table(a, horizon):
         horizons.append(horizon)
         return real_table(a, horizon)
 
-    monkeypatch.setattr(analysis.sequences, "c_series", table)
+    monkeypatch.setattr(sequences, "c_series", table)
     assert analysis._claim_seed_values(2, 10**6) is None
     assert horizons and max(horizons) <= 1
 
@@ -630,16 +735,16 @@ def test_seed_values_claim_builds_two_terms_whatever_n(monkeypatch):
 def test_beatty_claim_does_not_share_a_fault_with_the_closed_form(monkeypatch, a):
     # one fault in both c routes at n = 17 passes seq.closed_form, which
     # compares them; the Beatty form still names it
-    real_table, real_closed = analysis.sequences.c_series, analysis.sequences.c_closed
+    real_table, real_closed = sequences.c_series, sequences.c_closed
 
     def table(order, horizon):
         c = list(real_table(order, horizon).c)
         if order == a and horizon >= 17:
             c[17] += 1
-        return analysis.sequences.SequenceTable(order, tuple(c))
+        return sequences.SequenceTable(order, tuple(c))
 
-    monkeypatch.setattr(analysis.sequences, "c_series", table)
-    monkeypatch.setattr(analysis.sequences, "c_closed",
+    monkeypatch.setattr(sequences, "c_series", table)
+    monkeypatch.setattr(sequences, "c_closed",
                         lambda order, n: real_closed(order, n) + ((order, n) == (a, 17)))
     assert analysis._claim_closed_form(a, 40) is None
     assert analysis._claim_beatty(a, 40) == f"a={a} n=17"
@@ -649,15 +754,15 @@ def test_run_start_claim_checks_what_the_fixpoint_claim_does_not(monkeypatch):
     # at a = 1 the run of 6 in c is n = 9, 10: seq.fixpoint (b = 0 only)
     # reads its end, reach_6 = 10, and only the run-start claim reads c[9],
     # the old order-1 identity D(i + D(i-1)) = i at i = 6
-    real_table = analysis.sequences.c_series
+    real_table = sequences.c_series
 
     def table(a, horizon):
         c = list(real_table(a, horizon).c)
         c[9] -= 1
-        return analysis.sequences.SequenceTable(a, tuple(c))
+        return sequences.SequenceTable(a, tuple(c))
 
     assert analysis._claim_run_start(1, 40) is None
-    monkeypatch.setattr(analysis.sequences, "c_series", table)
+    monkeypatch.setattr(sequences, "c_series", table)
     assert analysis._claim_fixpoint(1, 40) is None
     assert analysis._claim_monotone_step(1, 40) is None
     assert analysis._claim_run_start(1, 40) == "a=1 k=6"
@@ -678,8 +783,8 @@ def test_naive_oracles_read_no_fast_route(monkeypatch):
 
     for module, names in (
         (sequences, ("c_series",)),
-        (graph, ("build", "arcs", "_last_heads", "out_neighbors", "in_neighbors")),
-        (oracles, ("out_neighbors", "degree_profile")),
+        (graph, ("build", "arcs", "_last_heads", "out_neighbors", "in_neighbors",
+                 "degree_profile")),
     ):
         for name in names:
             monkeypatch.setattr(module, name, refuse)

@@ -381,7 +381,7 @@ class TestExitStatus:
         def flat_table(a, horizon):
             return sequences.SequenceTable(a, tuple([0] * (horizon + 1)))
 
-        monkeypatch.setattr(analysis.sequences, "c_series", flat_table)
+        monkeypatch.setattr(sequences, "c_series", flat_table)
         code, out, err = run(capsys, "milestone", "--a", "2")
         assert code == 1
         assert out == ""

@@ -33,6 +33,31 @@ def _imported_modules(tree: ast.Module) -> set[str]:
     return found
 
 
+def _names_bound_from_package(tree: ast.Module) -> set[str]:
+    """Names a source file binds from a package module by `from .x import
+    name` (or `from jaco.x import name`), not counting modules."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module and (
+            node.level or node.module.startswith("jaco.")
+        ):
+            found.update(alias.asname or alias.name for alias in node.names)
+    return found
+
+
+def test_modules_read_each_other_through_the_module():
+    # a route has one binding, on its defining module, so a fault planted
+    # there reaches every reader; __init__ re-exports the public names, and
+    # analysis.edge_count_direct is kept for perfbench, which reads it there
+    bound = {
+        (path.stem, name)
+        for path in SRC.glob("*.py") if path.stem != "__init__"
+        for name in _names_bound_from_package(ast.parse(path.read_text()))
+    }
+    assert bound == {("analysis", "edge_count_direct")}
+    assert not hasattr(analysis, "graph_mod") and not hasattr(analysis, "paths_mod")
+
+
 def test_slow_second_routes_are_reached_only_through_the_claim_suite():
     # oracles holds the deliberately slow reference routes; in the library
     # only the verification suite in analysis may call them

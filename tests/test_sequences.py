@@ -351,12 +351,16 @@ class TestDigitKernelProperties:
     def test_validation_of_index_digits(self, a):
         # bytearray() takes a digit that is no int through its __index__, so
         # the screen must refuse it as the walk does: a tuple and a list of
-        # the same digits fail alike, at the first such digit
+        # the same digits fail alike, at the first such digit.  The digit sum
+        # of a string with a _SummedIndex is an int, so no sum can tell it
+        # from ints: (_SummedIndex(0), _SummedIndex(1)) once decoded to 2 at
+        # a = 1 and raised TypeError at a = 2
+        index_digits = (_Index(0), _Index(1), _SummedIndex(0), _SummedIndex(1))
         for length in range(1, 4):
-            for digits in product((0, 1, _Index(0), _Index(1)), repeat=length):
-                if any(type(alpha) is _Index for alpha in digits):
+            for digits in product((0, 1, *index_digits), repeat=length):
+                if any(isinstance(alpha, _Index) for alpha in digits):
                     first = next(i for i, alpha in enumerate(digits, 1)
-                                 if type(alpha) is _Index)
+                                 if isinstance(alpha, _Index))
                     for string in (digits, list(digits)):
                         with pytest.raises(ZeckDigitError) as caught:
                             zeck_decode(a, string)
@@ -416,6 +420,13 @@ class _Index:
 
     def __repr__(self):
         return f"_Index({self.value})"
+
+
+class _SummedIndex(_Index):
+    """An _Index that an int sum takes too: 0 + x is an int through __radd__."""
+
+    def __radd__(self, other):
+        return other + self.value
 
 
 def _assert_matches_reference(a, digits):
