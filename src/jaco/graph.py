@@ -97,21 +97,27 @@ def build(a: int, n: int) -> JacoGraph:
     return JacoGraph(sequences.c_series(a, n), n)
 
 
-def _check_vertex(g: JacoGraph, i: int) -> None:
-    if not 1 <= i <= g.n:
-        raise IndexError(f"vertex index {i} out of range 1..{g.n}")
+# The neighborhood queries run in per-vertex loops, and a named tuple
+# field read costs about twice a slot read: each unpacks its graph once.
+
+def _vertex_error(i: int, n: int) -> IndexError:
+    return IndexError(f"vertex index {i} out of range 1..{n}")
 
 
 def out_neighbors(g: JacoGraph, i: int) -> range:
     """Heads of arcs leaving v_i: the interval [i+1, min(a*i + c[i], n)]."""
-    _check_vertex(g, i)
-    return range(i + 1, min(g.a * i + g.seq.c[i], g.n) + 1)
+    (a, c), n = g
+    if not 1 <= i <= n:
+        raise _vertex_error(i, n)
+    return range(i + 1, min(a * i + c[i], n) + 1)
 
 
 def in_neighbors(g: JacoGraph, j: int) -> range:
     """Tails of arcs entering v_j: the interval [c[j], j-1], empty for v_1."""
-    _check_vertex(g, j)
-    return range(g.seq.c[j], j)
+    (_, c), n = g
+    if not 1 <= j <= n:
+        raise _vertex_error(j, n)
+    return range(c[j], j)
 
 
 def _last_heads(g: JacoGraph) -> Iterator[int]:

@@ -37,7 +37,12 @@ basis, shift every basis index down by one and add a 0/1 correction term.
 A digit expansion is a plain tuple of ints, alpha_1 first; the order a
 it is read in travels beside it as an argument.  The greedy encoder
 subtracts a fitting term up to twice and divides only when the remainder
-still fits it, so digits at orders 1 and 2 cost no division.  Validation
+still fits it, so digits at orders 1 and 2 cost no division.  It
+remembers its last expansion only, so c_closed and bettina_dplus, which
+call it, reuse the digits a point query has just asked for; decoding
+never reads that memo, so a round trip checks the encoder against a
+separate evaluation every time (a test that patches a route the encoder
+reads clears the memo with zeck_encode.cache_clear()).  Validation
 screens the string as bytes through one 256-byte class table per order
 and walks it digit by digit only to name the first bad index, or when a
 digit is no byte or no int; a digit that is no int fails that walk first.
@@ -55,9 +60,10 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import namedtuple
+from functools import lru_cache
 from itertools import compress, islice
 from math import isqrt
-from operator import mul
+from operator import index, mul
 
 
 class ZeckDigitError(ValueError):
@@ -130,11 +136,14 @@ def c_series(a: int, horizon: int) -> SequenceTable:
     return SequenceTable(a, tuple(c))
 
 
+@lru_cache(maxsize=1, typed=True)
 def zeck_encode(a: int, n: int) -> tuple[int, ...]:
     """Greedy constrained digit expansion of n over the basis U(a, -1).
 
     Returns the digits of n = sum(alpha_i * U_i), alpha_1 first, with no
-    trailing zero; the expansion of 0 is the empty tuple.  Valid digit
+    trailing zero; the expansion of 0 is the empty tuple.  n is taken
+    through operator.index, so a float is refused with TypeError and a
+    bool expands as the int it equals.  Valid digit
     strings satisfy alpha_1 < a, alpha_i <= a, and alpha_i = a only when
     alpha_{i-1} = 0.  Working from the largest basis term down, take the
     largest admissible multiple of each term.  The remainder after
@@ -146,8 +155,20 @@ def zeck_encode(a: int, n: int) -> tuple[int, ...]:
     that term pays for a divmod, so at a = 1 and a = 2, where every digit
     is at most 2, no digit divides.  A digit is never found by repeated
     subtraction beyond that, since it can be as large as a.
+
+    The last expansion is remembered (a one-entry lru_cache with typed
+    keys, so True never shares an entry with 1): a point query that asks
+    for the digits of n and then for c_closed(a, n) or bettina_dplus(n)
+    expands n once.  The result is an immutable tuple, so sharing it is
+    safe.  Only this function reads the memo; zeck_decode validates and
+    sums every string it is given, so a round trip still checks the
+    encoder against an independent evaluation.  A test that patches a
+    route this function reads (check_order, recurrence_terms) should
+    call zeck_encode.cache_clear() before the patch and after it: a
+    remembered expansion can hide the patch, or outlive it.
     """
     check_order(a)
+    n = index(n)
     if n < 0:
         raise ValueError(f"value must be >= 0, got {n}")
     if n == 0:

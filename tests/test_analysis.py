@@ -504,6 +504,39 @@ class TestVerifySuite:
         assert not report.passed
         assert render_report(report).splitlines()[-1] == "OVERALL FAIL"
 
+    def test_a_warm_encoder_memo_fails_the_same_claims(self, monkeypatch):
+        # zeck_encode remembers its last expansion; warmed, before a basis
+        # fault is planted, on (1, 1), the first value the suite encodes, it
+        # changes no verdict and no counterexample of that fault
+        real = sequences.recurrence_terms
+
+        def bumped(a, x0, x1, **kwargs):
+            terms = real(a, x0, x1, **kwargs)
+            if (a, x0, x1) == (1, 0, 1):  # U_2 = 2 at order 1
+                return [*terms[:2], terms[2] + 1, *terms[3:]]
+            return terms
+
+        def failures():
+            report = verify_suite(1, 3, 40)
+            return {c.claim_id: c.counterexample for c in report.claims if not c.passed}
+
+        sequences.zeck_encode.cache_clear()
+        sequences.zeck_encode(1, 1)
+        try:
+            monkeypatch.setattr(sequences, "recurrence_terms", bumped)
+            warm = failures()
+            assert sequences.zeck_encode.cache_info().hits > 0
+            sequences.zeck_encode.cache_clear()
+            cold = failures()
+        finally:
+            # the memo may hold an expansion made on the faulty basis
+            sequences.zeck_encode.cache_clear()
+        assert warm == cold
+        assert set(warm) == {
+            "seq.closed_form", "seq.zeck_roundtrip", "seq.zeck_uniqueness",
+            "seq.binet_crosscheck",
+        }
+
     def test_quadratic_path_claims_stop_at_their_cap(self, monkeypatch):
         ids = {
             "paths.distance_recursion_matches_bfs",

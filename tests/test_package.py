@@ -1,5 +1,7 @@
 import ast
+import inspect
 import pickle
+import pydoc
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +18,36 @@ def test_every_exported_name_resolves():
     missing = [name for name in jaco.__all__ if not hasattr(jaco, name)]
     assert missing == []
     assert len(set(jaco.__all__)) == len(jaco.__all__)
+
+
+def test_routes_keep_their_defining_function_metadata():
+    # every public route, the memoized zeck_encode too, sits on its defining
+    # module under its own name and shows that def's name, docstring and
+    # parameters, so help() and a tool that derives the routes from the
+    # package find it; such a tool must test callable(), since the memo's
+    # wrapper is no function
+    routes = {
+        name: getattr(jaco, name) for name in jaco.__all__
+        if callable(getattr(jaco, name)) and not isinstance(getattr(jaco, name), type)
+    }
+    assert "zeck_encode" in routes and not inspect.isfunction(routes["zeck_encode"])
+    defs = {}
+    for path in SRC.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                defs[f"jaco.{path.stem}", node.name] = node
+    for name, route in routes.items():
+        node = defs[route.__module__, route.__name__]
+        assert getattr(sys.modules[route.__module__], name) is route
+        assert (route.__name__, route.__qualname__) == (name, name)
+        assert inspect.isfunction(inspect.unwrap(route))
+        assert inspect.cleandoc(route.__doc__) == ast.get_docstring(node), name
+        params = [arg.arg for arg in (*node.args.posonlyargs, *node.args.args,
+                                      *node.args.kwonlyargs)]
+        assert list(inspect.signature(route).parameters) == params, name
+    text = pydoc.render_doc(jaco.zeck_encode, renderer=pydoc.plaintext)
+    assert "zeck_encode(a: 'int', n: 'int')" in text
+    assert "Greedy constrained digit expansion" in text
 
 
 def _imported_modules(tree: ast.Module) -> set[str]:

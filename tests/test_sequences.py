@@ -1,4 +1,6 @@
+import sys
 import time
+import tracemalloc
 from bisect import bisect_right
 from itertools import product
 from math import isqrt
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jaco import sequences
+from jaco import analysis, sequences
 from jaco.oracles import c_series_bruteforce, enumerate_zeck_reps
 from jaco.sequences import (
     ZeckDigitError,
@@ -465,6 +467,114 @@ def _reference_encode(a, n):
     while digits and digits[-1] == 0:
         digits.pop()
     return tuple(digits)
+
+
+class TestEncoderInput:
+    def test_a_float_is_refused(self):
+        # 5.0 once expanded to (0.0, 0, 0, 0, 1), which zeck_decode refuses
+        for call in (lambda: zeck_encode(1, 5.0), lambda: c_closed(1, 5.0),
+                     lambda: bettina_dplus(5.0), lambda: zeck_encode(2, 5.0)):
+            with pytest.raises(TypeError):
+                call()
+
+    @pytest.mark.parametrize("a", [1, 2, 3])
+    def test_a_bool_expands_as_the_int_it_equals(self, a):
+        # zeck_encode(2, True) once returned (True,)
+        for flag in (False, True):
+            digits = zeck_encode(a, flag)
+            assert digits == zeck_encode(a, int(flag))
+            assert all(type(alpha) is int for alpha in digits), digits
+        assert type(c_closed(a, True)) is int and c_closed(a, True) == 1
+
+
+def _outcome(call):
+    """What a call returns, by repr (so 1 and True differ), or the type and
+    text of what it raises."""
+    try:
+        return repr(call())
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+_MEMO_ROUTES = {
+    "zeck_encode": lambda a, n: zeck_encode(a, n),
+    "c_closed": lambda a, n: c_closed(a, n),
+    "bettina_dplus": lambda a, n: bettina_dplus(n),
+}
+
+# few values, so that calls repeat and hit the memo; bools, a float and
+# negatives among them
+_MEMO_VALUES = st.sampled_from([0, 1, 2, 5, 7, 10**20, -1, -5, True, False, 5.0, 1.0])
+
+
+@pytest.fixture
+def clear_encoder_memo():
+    # a memo filled while a route the encoder reads was patched would
+    # outlive the patch
+    zeck_encode.cache_clear()
+    yield
+    zeck_encode.cache_clear()
+
+
+class TestEncoderMemo:
+    # zeck_encode remembers its last expansion only (lru_cache(maxsize=1,
+    # typed=True)); nothing else reads that memo
+
+    def test_a_point_query_expands_n_once(self, clear_encoder_memo):
+        n = 10**40 + 7
+        digits = zeck_encode(1, n)
+        assert c_closed(1, n) == bettina_dplus(n) == golden_beatty(n)
+        assert zeck_encode(1, n) is digits
+        info = zeck_encode.cache_info()
+        assert (info.misses, info.hits, info.maxsize, info.currsize) == (1, 3, 1, 1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(calls=st.lists(
+        st.tuples(st.sampled_from(sorted(_MEMO_ROUTES)), st.integers(0, 4),
+                  _MEMO_VALUES | st.integers(-2, 10**6)),
+        min_size=1, max_size=30,
+    ))
+    def test_every_call_answers_as_after_a_clear(self, calls):
+        zeck_encode.cache_clear()
+        live = [_outcome(lambda: _MEMO_ROUTES[name](a, n)) for name, a, n in calls]
+        fresh = []
+        for name, a, n in calls:
+            zeck_encode.cache_clear()
+            fresh.append(_outcome(lambda: _MEMO_ROUTES[name](a, n)))
+        assert live == fresh
+
+    @pytest.mark.parametrize("a, n", [(1, 33), (2, 33), (3, 33)])
+    def test_decode_never_reads_the_memo(self, monkeypatch, clear_encoder_memo, a, n):
+        # a _dot fault planted right after a warm encode still shows: decode
+        # validates and sums the remembered string like any other
+        digits = zeck_encode(a, n)
+        real = sequences._dot
+        monkeypatch.setattr(sequences, "_dot",
+                            lambda a, d, terms: real(a, d, terms) + (d == digits))
+        assert zeck_encode(a, n) is digits
+        assert zeck_decode(a, zeck_encode(a, n)) == n + 1
+        report = analysis.verify_suite(a, a, 40)
+        failed = {c.claim_id: c.counterexample for c in report.claims if not c.passed}
+        assert failed["seq.zeck_roundtrip"] == f"a={a} n={n} decoded={n + 1}"
+
+    def test_a_large_expansion_is_freed_by_the_next(self, clear_encoder_memo):
+        # an expansion of 10**4 digits; the Fibonacci basis it needs (about
+        # 4 MB, quadratic in the digit count) is built before tracing
+        big = recurrence_terms(1, 0, 1, count=10_002)[10_001] - 1
+        zeck_encode(1, big)
+        zeck_encode.cache_clear()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            size = sys.getsizeof(zeck_encode(1, big))
+            held = tracemalloc.get_traced_memory()[0] - start
+            zeck_encode(1, 7)
+            after = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert size > 8 * 9_000
+        assert held >= size
+        assert after < size // 10
 
 
 class TestBasisCacheIsolation:
