@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import namedtuple
-from itertools import chain, compress, repeat, takewhile, zip_longest
+from itertools import chain, compress, count, islice, repeat, starmap, takewhile, zip_longest
 from operator import eq, ne
 
 from . import graph, oracles, paths, sequences
@@ -169,16 +169,16 @@ def _claim_degree_identity(a, n):
     # in-window [c[j], j-1] holds v_m; c is non-decreasing and every such j is
     # <= reach_m <= (a+1)*m.
     # The in-degree m - c[m] is read inline: a column would span the whole table
-    seq = sequences.c_series(a, (a + 1) * n + 1)
+    c = sequences.c_series(a, (a + 1) * n + 1).c
     for m in range(1, n + 1):
-        if (bisect_right(seq.c, m) - 1 - m) + (m - seq.c[m]) != a * m:
+        if (bisect_right(c, m) - 1 - m) + (m - c[m]) != a * m:
             return f"a={a} n={m}"
 
 
 def _claim_monotone_step(a, n):
-    seq = sequences.c_series(a, n)
+    c = sequences.c_series(a, n).c
     for m in range(n):
-        if seq.c[m + 1] - seq.c[m] not in (0, 1):
+        if c[m + 1] - c[m] not in (0, 1):
             return f"a={a} n={m}"
 
 
@@ -191,18 +191,18 @@ def _claim_bruteforce_c(a, n):
 
 
 def _claim_closed_form(a, n):
-    seq = sequences.c_series(a, n)
+    c = sequences.c_series(a, n).c
     for m in range(1, n + 1):
-        if sequences.c_closed(a, m) != seq.c[m]:
+        if sequences.c_closed(a, m) != c[m]:
             return f"a={a} n={m}"
 
 
 def _claim_fixpoint(a, n):
-    seq = sequences.c_series(a, n)
+    c = sequences.c_series(a, n).c
     for k in range(1, n + 1):
         for b in range(a):
-            target = a * k + seq.c[k] - b
-            if 0 <= target <= n and seq.c[target] != k:
+            target = a * k + c[k] - b
+            if 0 <= target <= n and c[target] != k:
                 return f"a={a} k={k} b={b}"
 
 
@@ -352,10 +352,11 @@ def _claim_lowest_in_neighbor_attains_delta(a, n):
     # the provable core of the prime-vertex claim: v_{c[n]} attains the
     # maximum degree (the stated "prime = c[n]" fails at degree ties)
     seq = sequences.c_series(a, n)
+    c = seq.c
     for m in range(2, n + 1):
         delta, first, _ = graph._jaconian_at(seq, m)
         g = graph.JacoGraph(seq, m)
-        lowest = seq.c[m]
+        lowest = c[m]
         if len(graph.in_neighbors(g, lowest)) + len(graph.out_neighbors(g, lowest)) != delta:
             return f"a={a} n={m}"
         if first not in (lowest, lowest - 1):
@@ -440,20 +441,27 @@ def _claim_uniqueness_biconditional(a, n):
     # (U) is recomputed from the path counts and the Liz set, and the
     # report must carry the same three fields: its own mismatches are not
     # taken as given.  The report comes first, so the path table that
-    # uniqueness_check builds is gone before the shared one is built
+    # uniqueness_check builds is gone before the shared one is built.  The
+    # recomputed columns are iterators, each made afresh for every pass, so
+    # the claim holds no column of its own beside the report and the table
     g = graph.build(a, n)
     report = paths.uniqueness_check(g)
-    psi = _path_table(g).psi
+    psi, c = _path_table(g).psi, g.seq.c
     liz = set(sequences.recurrence_terms(a, 1, 1, at_least=n))
-    unique = (False, *map((1).__eq__, psi[1:]))
-    criterion = (False, *map(liz.__contains__, g.seq.c[1 : n + 1]))
-    j = next(compress(range(1, n + 1), map(ne, unique[1:], criterion[1:])), None)
+
+    def unique():  # the column from j = 1 on; j = 0 is no vertex and reads False
+        return map((1).__eq__, islice(psi, 1, None))
+
+    def criterion():
+        return map(liz.__contains__, islice(c, 1, n + 1))
+
+    j = next(compress(count(1), map(ne, unique(), criterion())), None)
     if j is not None:
-        return f"a={a} j={j} unique={unique[j]} liz={criterion[j]}"
-    for field, want, got in zip(report._fields, (unique, criterion, ()), report):
-        got = tuple(got)
-        if got != want:
-            k = next(k for k, (w, x) in enumerate(zip_longest(want, got)) if w != x)
+        return f"a={a} j={j} unique={psi[j] == 1} liz={c[j] in liz}"
+    columns = (chain((False,), unique()), chain((False,), criterion()), ())
+    for field, want, got in zip(report._fields, columns, report):
+        k = next(compress(count(), starmap(ne, zip_longest(want, got))), None)
+        if k is not None:
             return f"a={a} report {field}[{k}]={got[k] if k < len(got) else None}"
 
 

@@ -151,13 +151,14 @@ def enumerate_shortest_paths(g: graph.JacoGraph, target: int) -> list[tuple[int,
     dynamic program it checks.  Small n only.
     """
     dist = bfs_distances(graph.JacoGraph(g.seq, target))
+    c = g.seq.c
     paths: list[tuple[int, ...]] = []
 
     def back(j: int, suffix: tuple[int, ...]) -> None:
         if j == 1:
             paths.append((1,) + suffix)
             return
-        for i in range(g.seq.c[j], j):
+        for i in range(c[j], j):
             if dist[i] + 1 == dist[j]:
                 back(i, (j,) + suffix)
 

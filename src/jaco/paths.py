@@ -49,8 +49,10 @@ increases, so (N) reads c, not dplus.  Proof sketch:
      have at least two vertices, what remains is the interior case.  This
      gives (N).
 
-uniqueness_check compares (U) vertex by vertex, and conjecture_scan still
-scans (N) at order 1 line by line, now as an empirical check of a theorem.
+uniqueness_check finds both sides of (U) by search: the ones of psi by
+tuple.index and the vertices whose c[j] is a Liz number by bisection, one
+run of c per Liz number.  conjecture_scan still scans (N) at order 1 line
+by line, now as an empirical check of a theorem.
 
 The records are immutable named tuples, which _replace copies with a field
 changed: PathTable, UniquenessReport and ConjectureReport, whose two flag
@@ -59,10 +61,11 @@ columns are computed on each read.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from collections.abc import Iterator
-from itertools import accumulate, chain, compress, islice, repeat
-from operator import and_, ne, sub
+from itertools import accumulate, chain, islice, repeat, takewhile
+from operator import and_, ne
 
 from . import graph, sequences
 
@@ -180,36 +183,59 @@ def path_table(g: graph.JacoGraph) -> PathTable:
 
     The in-neighbors of v_j one hop closer to v_1 are exactly [c[j], s-1],
     where s is the first vertex of v_j's level, and all of them lie in the
-    level before.  Holding that level's suffix sums in R, so that at the
-    negative index i - s R holds psi[i] + ... + psi[s-1], psi[j] is
-    R[c[j] - s]: a whole level is one map over its slice of c, and its
-    counts are the very int objects R holds.  Each level's R is dropped
-    once the next level has read it, and the last level builds none.
+    level before.  Before each level, that level before parks its suffix
+    sums in its own slots of psi, so that psi[i] holds psi[i] + ... +
+    psi[s-1] there and psi[j] is the parked psi[c[j]]: a whole level is one
+    map over its slice of c, with no offset per vertex, and its counts are
+    the very int objects parked there.  The parked slots get their saved
+    counts back once the level is read, and the last level parks nothing.
     """
     dist = distances(g)
-    c, n = g.seq.c, g.n
+    c = g.seq.c
     psi = [0, 1]
-    R = [1]  # the suffix sums of level 0, {v_1}
     levels = _levels(g)
-    next(levels)
+    prev = next(levels)[0]  # the first vertex of the level before
     for s, e in levels:
-        psi += map(R.__getitem__, map(sub, c[s : e + 1], repeat(s)))
-        if e < n:
-            R = list(accumulate(islice(reversed(psi), e - s + 1)))
-            R.reverse()
-    del R  # drop the sums before tuple(psi) copies psi, so the two never meet
+        counts = psi[prev:s]
+        psi[s - 1 : prev - 1 : -1] = accumulate(reversed(counts))
+        psi += map(psi.__getitem__, c[s : e + 1])
+        psi[prev:s] = counts
+        prev = s
     return PathTable(dist, tuple(psi))
 
 
 def uniqueness_check(g: graph.JacoGraph) -> UniquenessReport:
-    """Compare path uniqueness with the Liz criterion: c[j] is a Liz number."""
+    """Compare path uniqueness with the Liz criterion: c[j] is a Liz number.
+
+    Both sides are found by search, not by a pass per vertex in Python.  The
+    ones of psi come from tuple.index scans, and each Liz number b <= c[n]
+    marks its run of c[1..n] with two bisections.  That needs c[0..n] to be
+    non-decreasing, which seq.monotone_step checks.  The mismatches are the
+    positions in one of the two sets only, ascending.
+    """
     psi = path_table(g).psi
-    c = g.seq.c[: g.n + 1]
-    liz = set(sequences.recurrence_terms(g.a, 1, 1, at_least=c[-1]))
-    unique = (False, *map((1).__eq__, psi[1:]))
-    criterion = (False, *map(liz.__contains__, c[1:]))
-    mismatches = tuple(compress(range(1, g.n + 1), map(ne, unique[1:], criterion[1:])))
-    return UniquenessReport(unique, criterion, mismatches)
+    n, c = g.n, g.seq.c
+    ones = []
+    j = 0
+    try:
+        while True:
+            j = psi.index(1, j + 1)
+            ones.append(j)
+    except ValueError:
+        pass
+    liz = sequences.recurrence_terms(g.a, 1, 1, at_least=c[n])
+    runs = []
+    for b in takewhile(c[n].__ge__, liz[1:]):  # liz[1:] holds no repeat
+        lo = bisect_left(c, b, 1, n + 1)
+        runs.append(range(lo, bisect_right(c, b, lo, n + 1)))
+    unique = [False] * (n + 1)
+    for j in ones:
+        unique[j] = True
+    criterion = [False] * (n + 1)
+    for run in runs:
+        criterion[run.start : run.stop] = [True] * len(run)
+    mismatches = tuple(sorted(set(ones).symmetric_difference(chain.from_iterable(runs))))
+    return UniquenessReport(tuple(unique), tuple(criterion), mismatches)
 
 
 def conjecture_scan(n_max: int) -> ConjectureReport:

@@ -582,7 +582,9 @@ class TestVerifySuite:
         # the claims past the path cap share one path table per order; the
         # uniqueness claim takes its report first, so the table that
         # uniqueness_check builds for itself is gone before the shared one
-        # is built, and the two are never alive together
+        # is built, and the two are never alive together; the columns it
+        # recomputes are iterators, so the claims stay within a fifth of
+        # one uniqueness_check (1.15 at CPython 3.10 to 3.12)
         ids = {
             "paths.uniqueness_biconditional",
             "paths.level_ends_are_liz",
@@ -602,7 +604,7 @@ class TestVerifySuite:
         finally:
             tracemalloc.stop()
         assert report.passed
-        assert claims <= 1.4 * alone, f"claims {claims} uniqueness_check {alone}"
+        assert claims <= 1.2 * alone, f"claims {claims} uniqueness_check {alone}"
 
     def test_no_shared_result_outlives_a_run(self, monkeypatch):
         # a run that raises mid-order and a run that returns both leave

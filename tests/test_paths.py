@@ -111,14 +111,15 @@ class TestPsiFast:
         dist = path_table(build(a, 20_000)).dist
         assert all(dist[i] <= dist[i + 1] for i in range(1, 20_000))
 
-    @pytest.mark.parametrize("a", range(1, 7))
+    @pytest.mark.parametrize("a", range(1, 9))
     def test_every_cut_matches_bfs_and_oracle(self, a):
-        # the last level is cut at v_n, anywhere inside a full level
+        # the last level is cut at v_n, anywhere inside a full level, on a
+        # table that ends at n and on one that runs past it
         for n in range(1, 151):
-            g = build(a, n)
-            dist = tuple([0] + bfs_distances(g)[1:])
-            assert path_table(g) == PathTable(dist, psi_oracle(g)), f"a={a} n={n}"
-            assert distances(g) == dist
+            for g in (build(a, n), JacoGraph(c_series(a, 2 * n + 5), n)):
+                dist = tuple([0] + bfs_distances(g)[1:])
+                assert path_table(g) == PathTable(dist, psi_oracle(g)), f"a={a} n={n}"
+                assert distances(g) == dist
 
     def test_path_table(self):
         t = path_table(build(1, 13))
@@ -158,12 +159,62 @@ class TestUniqueness:
         assert report.criterion == report.unique
         assert report.mismatches == ()
 
+    @given(a=st.integers(1, 6), n=st.integers(1, 3000), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_its_definition(self, a, n, data):
+        # also on a prefix of a longer table, where c runs past c[n]
+        horizon = data.draw(st.integers(n, 3 * n), label="horizon")
+        assert_uniqueness_by_definition(JacoGraph(c_series(a, horizon), n))
+
+    @pytest.mark.parametrize("a", range(1, 7))
+    def test_cut_inside_a_liz_run(self, a):
+        # the search must stop at v_n where the run of a Liz number in c
+        # goes on past it; random n rarely land there
+        seq = c_series(a, 3000)
+        c = seq.c
+        for b in recurrence_terms(a, 1, 1, at_least=c[2999])[1:]:
+            if b >= c[2999]:
+                break
+            for n in range(max(c.index(b) - 1, 1), c.index(b + 1) + 1):
+                assert_uniqueness_by_definition(JacoGraph(seq, n))
+
+    @pytest.mark.parametrize("a", [1, 2, 3])
+    def test_reports_the_counts_it_is_given(self, a, monkeypatch):
+        # the search reads psi and c, not the theorem it reports on: a
+        # table with a 1 at a non-Liz vertex and a 2 at a Liz vertex gives
+        # exactly those two mismatches
+        n = 300
+        g = build(a, n)
+        psi = path_table(g).psi
+        non_liz = next(j for j in range(n // 2, n + 1) if psi[j] > 1)
+        at_liz = next(j for j in range(n // 3, n + 1) if psi[j] == 1)
+        faulty = PathTable(path_table(g).dist, tuple(
+            1 if j == non_liz else 2 if j == at_liz else p for j, p in enumerate(psi)
+        ))
+        monkeypatch.setattr(paths, "path_table", lambda g: faulty)
+        report = uniqueness_check(g)
+        assert report.mismatches == tuple(sorted((non_liz, at_liz)))
+        assert report.unique[non_liz] and not report.criterion[non_liz]
+        assert report.criterion[at_liz] and not report.unique[at_liz]
+
     def test_fibonacci_indices_have_unique_paths(self):
         psi = psi_oracle(build(1, 1000))
         f, g = 1, 2
         while f <= 1000:
             assert psi[f] == 1
             f, g = g, f + g
+
+
+def assert_uniqueness_by_definition(g):
+    """uniqueness_check(g) against (U) read vertex by vertex off psi and c."""
+    n, c, psi = g.n, g.seq.c, path_table(g).psi
+    liz = set(recurrence_terms(g.a, 1, 1, at_least=c[n]))
+    report = uniqueness_check(g)
+    assert report.unique == (False, *(psi[j] == 1 for j in range(1, n + 1)))
+    assert report.criterion == (False, *(c[j] in liz for j in range(1, n + 1)))
+    assert report.mismatches == tuple(
+        j for j in range(1, n + 1) if (psi[j] == 1) != (c[j] in liz)
+    )
 
 
 def level_ends(g):
