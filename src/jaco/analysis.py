@@ -2,28 +2,17 @@
 (the direct count lives in graph), the maximum-degree milestone search,
 and the verification harness.  The prefix walkers (the milestone search,
 the recursive edge count and the monotone-delta and lowest-in-neighbor
-claims) each build one sequence table and read each prefix's maximum
-degree from the closed form graph._jaconian_at(seq, m), not from a degree
-scan.  That form is three plain ints (delta, first, last): the Jaconian
-set is the run v_first..v_last and the prime index is first, so no walker
-builds a JaconianInfo record per prefix, and edge_count_theorem reads
-its prime index the same way.  edge_count_recursive holds the one copy of
-the prime-vertex recurrence, and the edge-count claim reads it.
+claims) build one sequence table each and read the maximum degree of
+every prefix from graph._jaconian_at, not from a degree scan.
 
 The harness turns every structural claim the library relies on into a
 deterministic pass/fail check over a parameter grid, reporting the first
 counterexample of any failing claim.  Each claim checks one order a up
-to n; a registry holds its id, checked-text tail and caps.  One runner
-applies the caps and walks the orders in ascending order, running at each
-order every claim that covers it and has not failed yet, so each claim
-still reports its first failing order.  The second routes that several
-claims read at one order, the naive builder (linear in its Theta(n^2)
-output) and the quadratic path-count DP, are computed once per
-(a, capped n), and none is carried from one order to the next.
-
-Every claim reads each route on its defining module at call time
-(graph.build, paths.path_table), so a route patched there once is the one
-that every claim, and every route built on it, computes.
+to n, and covers every order of the grid up to its a cap; a registry
+holds its id, checked-text tail and caps.  One runner applies the caps
+and walks the orders in ascending order, running at each order every
+claim that covers it and has not failed yet, so each claim reports its
+first failing order.
 
 One deliberate correction: the source material asserts that the prime
 Jaconian vertex is always the lowest in-neighbor c[n] of the last vertex,
@@ -89,7 +78,8 @@ def edge_count_recursive(a: int, n_max: int) -> list[int]:
     """Edge totals of J_1(a)..J_{n_max}(a) by the prime-vertex recurrence.
 
     Growing J_n to J_{n+1} adds n - i arcs when the prime vertex v_i is
-    already saturated (degree a*i) and n - i + 1 arcs otherwise.
+    already saturated (degree a*i) and n - i + 1 arcs otherwise.  This is
+    the one copy of the recurrence, and the edge-count claim reads it.
     Returned list is 0-indexed: result[n - 1] is the total for J_n(a).
     """
     if n_max < 1:
@@ -127,11 +117,11 @@ def milestone_delta(a: int) -> int:
 # first counterexample, or None.  The grid, the caps and the checked text
 # belong to the registry and the runner below it.
 
-# The routes that several claims read at the same order, keyed by (route,
-# a, n).  It is a dict only while verify_suite runs one order, so a claim
-# called on its own computes every route afresh, and no result outlives its
-# order, also when a claim raises.  Like every claim, they look each route
-# up on its module at call time, so a patched route is the one computed.
+# The second routes that several claims read at the same order (the naive
+# builder, the path-count DP, the path table), keyed by (route, a, n).  It
+# is a dict only while verify_suite runs one order, so a claim called on
+# its own computes every route afresh, and no result outlives its order,
+# also when a claim raises.
 _order_memo: dict[tuple[object, int, int], object] | None = None
 
 

@@ -3,13 +3,8 @@
 Every renderer is byte-stable for a given input: arcs are emitted in
 lexicographic (tail, head) order, JSON keys in a fixed order, line
 endings are a single newline.  Graphs are always rebuilt from (a, n), so
-there is no importer.
-
-The heads of v_i are the consecutive vertices i+1..r_i, so the graph
-renderers emit each tail's arcs as one join over a shared list of vertex
-names, with no per-arc formatting.  Each graph renderer then builds its
-whole text with one more join over the header, those pieces and the
-footer, so the text is built once in memory, not streamed.
+there is no importer.  Each renderer returns its whole text, built in
+memory by one join, not streamed.
 """
 
 from __future__ import annotations

@@ -2,28 +2,12 @@
 
 Arcs are never stored: both neighborhoods of a vertex are contiguous
 index intervals, so a graph is the prefix n of an order-a sequence table,
-which may run past v_n but must reach it (JacoGraph refuses a view outside
-its table when it is built).  The out-neighbors of v_i are
+which may run past v_n but must reach it.  The out-neighbors of v_i are
 [i+1, min(a*i + c[i], n)] and the in-neighbors of v_j are [c[j], j-1].
 Vertex indexing is 1-based throughout.
 
 The cut at v_n: by the definition of c, a*i + c[i] >= n exactly when
 i >= c[n], so that min is a*i + c[i] below c[n] and n from c[n] on.
-
-Every in-, out- and total degree lies in 0..n (the underlying graph is
-simple), so degree_profile's three columns point into one list of the
-ints 0..n: a profile holds one int object per vertex, not three.
-
-The maximum degree of each prefix J_m(a) is a closed form in c:
-_jaconian_at(seq, m) returns it as three ints (delta, first, last).  The
-vertices attaining delta form the contiguous run v_first..v_last, and the
-Hope range above the prime index first is first+1..m, so only the public
-jaconian(g) spells them out as a JaconianInfo record; the prefix walkers
-in analysis read the ints.
-
-The records are immutable named tuples, which _replace copies with a field
-changed: JacoGraph (seq, n), whose range check also holds through _replace,
-DegreeProfile and JaconianInfo.
 """
 
 from __future__ import annotations
@@ -67,10 +51,7 @@ class DegreeProfile(namedtuple("DegreeProfile", "d_in d_out_finite d_total")):
     """Per-vertex degrees, index 0 unused.
 
     d_out_finite truncates the infinite out-degree at the vertex cap n;
-    d_total is the degree in the underlying undirected simple graph.  Every
-    degree lies in 0..n, and degree_profile points all three columns into
-    one list of those ints, so a profile holds one int object per vertex,
-    not three.
+    d_total is the degree in the underlying undirected simple graph.
     """
 
     __slots__ = ()
@@ -141,9 +122,10 @@ def arcs(g: JacoGraph) -> Iterator[tuple[int, int]]:
 def degree_profile(g: JacoGraph) -> DegreeProfile:
     """In-, finite out- and total degree of every vertex of J_n(a).
 
-    Every degree lies in 0..n, so the three columns take their entries
-    from one list, ints = [0, 1, ..., n]: a profile holds one int object
-    per vertex, not three.  With k = c[n], by the cut at v_n:
+    Every degree lies in 0..n (the underlying graph is simple), so the
+    three columns take their entries from one list, ints = [0, 1, ..., n]:
+    a profile holds one int object per vertex, not three.  With k = c[n],
+    by the cut at v_n:
 
         d_in[i]         = i - c[i]
         d_out_finite[i] = (a-1)*i + c[i] below k,   n - i from k on,
@@ -173,6 +155,8 @@ def _summatory(c, a: int, m: int) -> int:
     The terms alternate in sign, so the loop takes two steps per turn, and
     it sums each term doubled, halving once at the end.
     """
+    # one step per turn with a flipped sign factor made edge_count_direct
+    # 8-25 % slower
     twice = 0
     while m > 0:
         k = c[m]
@@ -233,6 +217,8 @@ def _jaconian_at(seq: sequences.SequenceTable, m: int) -> tuple[int, int, int]:
     if full > top:
         return full, f - 1, f - 1
     end = a * k + c[k]
+    # a comparison, not min(): the prefix walkers call this once per prefix,
+    # and a call to min() made milestone_delta half again as slow
     if end > m:
         end = m
     if full == top and f > 1:
@@ -245,7 +231,8 @@ def jaconian(g: JacoGraph) -> JaconianInfo:
 
     O(1) plus the size of the Jaconian set, by the closed form of
     _jaconian_at: the set is the run v_first..v_last and the Hope range
-    runs from first + 1 to n.
+    runs from first + 1 to n.  Only this route builds a JaconianInfo; the
+    prefix walkers in analysis read _jaconian_at's three ints.
     """
     seq, n = g
     delta, first, last = _jaconian_at(seq, n)

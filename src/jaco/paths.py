@@ -4,16 +4,8 @@ that ties both to the Liz numbers, and the scan of non-repetitive triples.
 Distances follow the forward recursion dist[i] = dist[c[i]] + 1 (the
 lowest in-neighbor always lies on a shortest path).  Since c is
 non-decreasing, the vertices at one distance form a run, a level, and
-each level's end follows from the previous one's end e alone, as
-min(a*e + c[e], n).  distances and path_table walk these levels, about
-log n of them, and do the per-vertex work of each level in C iterators:
-a run of one repeated distance, and one map into the previous level's
-suffix sums for the path counts.  Path counts have one fast route,
-path_table, which is linear at every order; psi_oracle, the standard DAG
-dynamic program over in-neighbor windows, is its quadratic reference for
-the tests and the verification suite.  Out-degrees here are always the
-infinite-graph out-degrees dplus[j] = (a-1)*j + c[j]; the finite graph
-would give the last vertex out-degree 0 and trivialize every criterion.
+distances and path_table walk these levels (_levels), about log n of
+them, doing the per-vertex work of each level in C iterators.
 
 The level theorem.  Let B be the Liz numbers of order a, the terms
 1, 1, a+1, ... of x[i+1] = a*x[i] + x[i-1] (recurrence_terms(a, 1, 1)),
@@ -26,11 +18,13 @@ and psi the shortest-path counts.  For every order a >= 1 and every n:
       non-repetitive (no two neighbours equal) exactly when the psi
       triple at k is.
 
-The source paper (arXiv:1404.1714) states these at order 1, where
-dplus = c and the Liz numbers are the Fibonacci numbers: (U) is its
-"one shortest path exactly at a Fibonacci out-degree" criterion and (N)
-its non-repetitiveness biconditional.  At a >= 2 dplus strictly
-increases, so (N) reads c, not dplus.  Proof sketch:
+The source paper (arXiv:1404.1714) states these at order 1, where the
+Liz numbers are the Fibonacci numbers and c is the out-degree
+dplus[j] = (a-1)*j + c[j] of the infinite graph (the finite graph would
+give the last vertex out-degree 0): (U) is its "one shortest path exactly
+at a Fibonacci out-degree" criterion and (N) its non-repetitiveness
+biconditional.  At a >= 2 dplus strictly increases, so (N) reads c, not
+dplus.  Proof sketch:
 
   1. c[j] < j for j >= 2, so every vertex is reachable and psi >= 1.  So
      T[i] = psi[1] + ... + psi[i-1] strictly increases for i >= 1.
@@ -48,15 +42,6 @@ increases, so (N) reads c, not dplus.  Proof sketch:
      boundary e, c[e] != c[e+1] and 1 = psi[e] < psi[e+1].  Once levels
      have at least two vertices, what remains is the interior case.  This
      gives (N).
-
-uniqueness_check finds both sides of (U) by search: the ones of psi by
-tuple.index and the vertices whose c[j] is a Liz number by bisection, one
-run of c per Liz number.  conjecture_scan still scans (N) at order 1 line
-by line, now as an empirical check of a theorem.
-
-The records are immutable named tuples, which _replace copies with a field
-changed: PathTable, UniquenessReport and ConjectureReport, whose two flag
-columns are computed on each read.
 """
 
 from __future__ import annotations
@@ -93,12 +78,11 @@ class ConjectureReport(namedtuple("ConjectureReport", "dplus psi")):
 
     Holds the two columns the scan reads, dplus[0..n_max] and psi[0..n_max],
     so n_max is len(psi) - 1.  At order 1 dplus is c; (N) of the level
-    theorem is this scan with c in the first column, at every order.  A triple
-    (x[k-1], x[k], x[k+1]) is non-repetitive when no two neighbours are
-    equal.  Each row is (k, dplus triple, psi triple, forward ok, converse
-    ok); forward is "dplus non-repetitive implies psi non-repetitive" and
-    converse the reverse implication.  Nothing is asserted: violations are
-    report content.  The two flag columns that rows, violations and
+    theorem is this scan with c in the first column, at every order.  Each
+    row is (k, dplus triple, psi triple, forward ok, converse ok); forward
+    is "dplus non-repetitive implies psi non-repetitive" and converse the
+    reverse implication.  Nothing is asserted: violations are report
+    content.  The two flag columns that rows, violations and
     render_conjecture read are computed on each read.
     """
 
@@ -162,7 +146,8 @@ def distances(g: graph.JacoGraph) -> tuple[int, ...]:
 
 
 def psi_oracle(g: graph.JacoGraph) -> tuple[int, ...]:
-    """Shortest-path counts by the standard DAG dynamic program.
+    """Shortest-path counts by the standard DAG dynamic program, the
+    quadratic reference for path_table.
 
     psi[j] sums psi over in-neighbors one hop closer to v_1; the
     in-neighbor window [c[j], j-1] is scanned directly, with no reliance
@@ -239,12 +224,7 @@ def uniqueness_check(g: graph.JacoGraph) -> UniquenessReport:
 
 
 def conjecture_scan(n_max: int) -> ConjectureReport:
-    """Scan the non-repetitiveness biconditional (N) at order 1 up to n_max - 1.
-
-    For each k the out-degree triple at (k-1, k, k+1) and the path-count
-    triple are classified as repetitive or not, and both implication
-    directions are recorded.
-    """
+    """Scan the non-repetitiveness biconditional (N) at order 1 up to n_max - 1."""
     if n_max < 9:
         raise ValueError(f"n_max must be >= 9, got {n_max}")
     g = graph.build(1, n_max)
@@ -276,6 +256,8 @@ def render_conjecture(report: ConjectureReport) -> str:
     join over the pieces of its lines, with no line string built.  Only
     one block's pieces are alive at once besides the joined blocks.
     """
+    # not one f-string per line: that formats each value three times and
+    # took 15-30 % longer
     n = report.n_max
     flags = report._flags
     verdicts = map(_VERDICTS.__getitem__, zip(*flags))

@@ -2,12 +2,8 @@
 
 The central object is the lowest-in-neighbor series c: c[0] = 0, c[1] = 1
 and, for n >= 2, c[n] is the least k < n with a*k + c[k] >= n.  From it
-follow the in-degree (n - c[n]), the out-degree ((a-1)*n + c[n]) and the
-reach (a*n + c[n]) of every vertex of the infinite order-a graph.  Only c
-is stored: a SequenceTable is the named tuple (a, c), its reach column is
-computed on each read, and the two degrees are read inline from c.  The
-running sum of c has no column: graph computes it at one index from c
-alone, in O(log n).
+follow the in-degree n - c[n], the out-degree (a-1)*n + c[n] and the
+reach a*n + c[n] of every vertex of the infinite order-a graph.
 
 At every order c is a Beatty sequence.  Let r = (a + sqrt(a*a + 4))/2, so
 that r = a + 1/r, and beta = r/(r+1).  Then, for every n >= 0,
@@ -31,36 +27,22 @@ G-sequence (OEIS A005206).  Proof:
 A corollary: the reach a*k + c[k] = floor(k*r + beta) is a Beatty sequence
 too.
 
-The same series has a closed form over the generalized Lucas basis
-U(a, -1): expand n in the unique constrained digit expansion over that
-basis, shift every basis index down by one and add a 0/1 correction term.
-A digit expansion is a plain tuple of ints, alpha_1 first; the order a
-it is read in travels beside it as an argument.  The greedy encoder
-subtracts a fitting term up to twice and divides only when the remainder
-still fits it, so digits at orders 1 and 2 cost no division.  It
-remembers its last expansion only, so c_closed and bettina_dplus, which
-call it, reuse the digits a point query has just asked for; decoding
-never reads that memo, so a round trip checks the encoder against a
-separate evaluation every time (a test that patches a route the encoder
-reads clears the memo with zeck_encode.cache_clear()).  Validation
-screens the string as bytes through one 256-byte class table per order
-and walks it digit by digit only to name the first bad index, or when a
-digit is no byte or no int; a digit that is no int fails that walk first.
-Decoding and the closed form are one C-iterator sum over the nonzero
-digits: at order 1, where every digit is 0 or 1, a sum of the basis
-terms beside them; above it, a dot product.
-All arithmetic is exact (Python integers widen as needed).  Every
-sequence obeying x[i+1] = a*x[i] + x[i-1] comes from one cached builder,
-recurrence_terms, the one route to each: the Lucas basis U_0, U_1, ... is
-recurrence_terms(a, 0, 1) and the Liz numbers B_1, B_2, ... are
-recurrence_terms(a, 1, 1); at a = 1 both are the Fibonacci numbers.
+Every sequence obeying x[i+1] = a*x[i] + x[i-1] comes from
+recurrence_terms: the Lucas basis U(a, -1), U_0, U_1, ... = 0, 1, a, ...,
+is recurrence_terms(a, 0, 1) and the Liz numbers B_1, B_2, ... = 1, 1,
+a+1, ... are recurrence_terms(a, 1, 1).  At a = 1 both are the Fibonacci
+numbers; at a = 2 the basis is the Pell numbers.  c has a closed form over
+that basis: expand n in its unique constrained digit expansion, shift
+every basis index down by one and add a 0/1 correction term (c_closed).
+A digit expansion is a plain tuple of ints, alpha_1 first; the order a it
+is read in travels beside it as an argument.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from collections import namedtuple
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import compress, islice
 from math import isqrt
 from operator import index, mul
@@ -83,8 +65,8 @@ def check_order(a: int) -> None:
 class SequenceTable(namedtuple("SequenceTable", "a c")):
     """The series c[0], c[1], ... of order a; the reach column is computed on each read.
 
-    reach[n] = a*n + c[n].  The in-degree n - c[n] and the out-degree
-    (a-1)*n + c[n] have no column: their readers take them inline from c.
+    reach[n] = a*n + c[n].  The two degrees have no column: their readers
+    take them inline from c.
     """
 
     __slots__ = ()
@@ -161,8 +143,8 @@ def zeck_encode(a: int, n: int) -> tuple[int, ...]:
     for the digits of n and then for c_closed(a, n) or bettina_dplus(n)
     expands n once.  The result is an immutable tuple, so sharing it is
     safe.  Only this function reads the memo; zeck_decode validates and
-    sums every string it is given, so a round trip still checks the
-    encoder against an independent evaluation.  A test that patches a
+    sums every string it is given, so a round trip checks the encoder
+    against an independent evaluation every time.  A test that patches a
     route this function reads (check_order, recurrence_terms) should
     call zeck_encode.cache_clear() before the patch and after it: a
     remembered expansion can hide the patch, or outlive it.
@@ -200,20 +182,12 @@ def zeck_encode(a: int, n: int) -> tuple[int, ...]:
     return tuple(digits)
 
 
-# Per min(a, 256): the class of each byte value as a digit of order a,
-# 0 zero, 1 nonzero below a, 2 full (= a), 3 above a.  Orders >= 256
-# share one table, since no byte reaches them.
-_DIGIT_CLASSES: dict[int, bytes] = {}
-
-
+@cache
 def _digit_classes(a: int) -> bytes:
-    key = a if a < 256 else 256
-    table = _DIGIT_CLASSES.get(key)
-    if table is None:
-        table = _DIGIT_CLASSES[key] = bytes(
-            0 if d == 0 else 1 if d < key else 2 if d == key else 3 for d in range(256)
-        )
-    return table
+    """The class of each byte value as a digit of order a: 0 zero, 1 nonzero
+    below a, 2 full (= a), 3 above a.  Callers pass orders >= 256 as 256,
+    so they share one table, since no byte reaches them."""
+    return bytes(0 if d == 0 else 1 if d < a else 2 if d == a else 3 for d in range(256))
 
 
 def validate_digits(a: int, digits: tuple[int, ...]) -> None:
@@ -246,7 +220,8 @@ def validate_digits(a: int, digits: tuple[int, ...]) -> None:
         except (ValueError, TypeError):
             ints = False
         if ints:
-            cls = raw.translate(_digit_classes(a))
+            # a conditional, not min(): the call to min() costs more than the lookup
+            cls = raw.translate(_digit_classes(a if a < 256 else 256))
             # find, not `in`: `in` first tries a bytes needle as an int and
             # pays for the TypeError
             if (raw[-1] and cls[0] < 2 and 3 not in cls

@@ -42,11 +42,26 @@ def _swapped(stream, k):
     return iter(arcs)
 
 
-def _bumped(seq, i):
-    """The sequence table with c[i] one larger."""
+def _bumped(seq, i, by=1):
+    """The sequence table with c[i] larger by by."""
     c = list(seq.c)
-    c[i] += 1
+    c[i] += by
     return sequences.SequenceTable(seq.a, tuple(c))
+
+
+def _exhausted(a):
+    """A milestone search that finds no witness."""
+    raise TheoremViolationError(f"no witness at a={a}")
+
+
+def _repeated_rep(real):
+    """enumerate_zeck_reps with the string of 10 listed twice at order 2."""
+    def reps(a, max_value):
+        found = real(a, max_value)
+        if a == 2:
+            found[10] = found[10] * 2
+        return found
+    return reps
 
 
 class TestEdgeCounts:
@@ -488,6 +503,137 @@ class TestVerifySuite:
                 },
                 id="c_series",
             ),
+            # with the cases below, every counterexample a claim can return
+            # is returned by some planted fault
+            pytest.param(
+                (sequences, "c_series"),
+                lambda real: lambda a, horizon: (
+                    _bumped(real(a, horizon), 0) if horizon == 1 else real(a, horizon)
+                ),
+                (1, 3, 40),
+                # the complete prefixes build J_1 on such a table and pass
+                {"seq.seed_values": "a=1 c[0]=1 c[1]=1"},
+                id="seed_values",
+            ),
+            pytest.param(
+                (sequences, "c_series"),
+                lambda real: lambda a, horizon: (
+                    _bumped(real(a, horizon), 17, by=2) if a == 2 and horizon >= 17
+                    else real(a, horizon)
+                ),
+                (1, 3, 40),
+                # c steps by 2 into n = 17: besides the claims the one-step
+                # bump above fails, the step, the delta sweep and the
+                # recurrence see it
+                {
+                    "seq.degree_identity": "a=2 n=7",
+                    "seq.monotone_step": "a=2 n=16",
+                    "seq.matches_bruteforce_definition": "a=2 n=17",
+                    "seq.closed_form": "a=2 n=17",
+                    "seq.fixpoint": "a=2 k=7 b=0",
+                    "seq.beatty_form": "a=2 n=17",
+                    "graph.in_degree_stability": "a=2 j=17",
+                    "graph.monotone_delta": "a=2 n=17 delta 13->16",
+                    "graph.lowest_in_neighbor_attains_delta": "a=2 n=17",
+                    "analysis.edge_count_triple_agreement": (
+                        "a=2 n=17 direct=89 theorem=89 recursive=86"
+                    ),
+                    "paths.psi_recursion_matches_dp": "a=2 j=40 recursion=1 dp=0",
+                    "paths.psi_fast_matches_dp": "a=2 j=17",
+                    "paths.uniqueness_biconditional": "a=2 j=40 unique=False liz=True",
+                    "paths.level_ends_are_liz": "a=2 liz=17 c=9",
+                },
+                id="c_series_steps_by_two",
+            ),
+            pytest.param(
+                (oracles, "enumerate_zeck_reps"),
+                _repeated_rep,
+                (1, 3, 40),
+                {"seq.zeck_uniqueness": "a=2 n=10 reps=2"},
+                id="zeck_reps_repeat_a_string",
+            ),
+            pytest.param(
+                (graph, "arcs"),
+                lambda real: lambda g: (
+                    iter(list(real(g))[:-1]) if (g.a, g.n) == (2, 3) else real(g)
+                ),
+                (1, 3, 40),
+                # only the complete-prefix claim builds J_3(2)
+                {"graph.complete_prefix": "a=2 m=3 not complete"},
+                id="arcs_at_a_complete_prefix",
+            ),
+            pytest.param(
+                (graph, "jaconian"),
+                lambda real: lambda g: (
+                    real(g)._replace(delta=real(g).delta + 1) if (g.a, g.n) == (2, 3) else real(g)
+                ),
+                (1, 3, 40),
+                {"graph.complete_prefix": "a=2 m=3 jaconian"},
+                id="jaconian_at_a_complete_prefix",
+            ),
+            pytest.param(
+                (graph, "edge_count_direct"),
+                lambda real: lambda g: real(g) + ((g.a, g.n) == (2, 3)),
+                (1, 3, 40),
+                {
+                    "analysis.edge_count_triple_agreement": (
+                        "a=2 n=3 direct=4 theorem=3 recursive=3"
+                    ),
+                    "analysis.complete_prefix_count": "a=2 m=3",
+                },
+                id="edge_count_at_a_complete_prefix",
+            ),
+            pytest.param(
+                (graph, "_jaconian_at"),
+                lambda real: lambda seq, m: (
+                    (real(seq, m)[0], real(seq, m)[1] - 2, real(seq, m)[2])
+                    if (seq.a, m) == (2, 20) else real(seq, m)
+                ),
+                (1, 3, 40),
+                # delta stays right, so only the readers of the prime index fail
+                {
+                    "graph.lowest_in_neighbor_attains_delta": "a=2 n=20 prime=6",
+                    "graph.hope_complete": "a=2 n=20 missing=(7, 18)",
+                    "analysis.edge_count_triple_agreement": (
+                        "a=2 n=20 direct=119 theorem=122 recursive=119"
+                    ),
+                },
+                id="prime_index",
+            ),
+            pytest.param(
+                (graph, "degree_profile"),
+                lambda real: lambda g: (
+                    real(g)._replace(d_total=tuple(
+                        d + (j == 1) for j, d in enumerate(real(g).d_total)
+                    )) if (g.a, g.n) == (3, 40) else real(g)
+                ),
+                (1, 3, 40),
+                # the step from v_1 to v_2 shrinks to a - 1, so only the
+                # full-degree prefix below the saturated prime v_12 sees it
+                {"graph.full_degree_prefix": "a=3 m=1"},
+                id="degree_profile_first_vertex",
+            ),
+            pytest.param(
+                (analysis, "milestone_delta"),
+                lambda real: lambda a: real(a) + (a == 2),
+                (1, 3, 40),
+                {"analysis.milestone_delta": "a=2 n_star=8"},
+                id="milestone_off_by_one",
+            ),
+            pytest.param(
+                (analysis, "milestone_delta"),
+                lambda real: lambda a: _exhausted(a) if a == 2 else real(a),
+                (1, 3, 40),
+                {"analysis.milestone_delta": "a=2 (no witness at a=2)"},
+                id="milestone_exhausted",
+            ),
+            pytest.param(
+                (oracles, "enumerate_shortest_paths"),
+                lambda real: lambda g, j: real(g, j)[1:] if (g.a, j) == (2, 12) else real(g, j),
+                (1, 3, 40),
+                {"paths.psi_dp_matches_enumeration": "a=2 j=12 dp=4 enum=3"},
+                id="shortest_paths_drops_one",
+            ),
         ],
     )
     def test_injected_fault_is_pinpointed(self, monkeypatch, target, warp, grid, failures):
@@ -646,8 +792,9 @@ class TestVerifySuite:
         assert faulty_run() == faults
 
     def test_no_entry_of_a_claim_called_alone_is_read(self, monkeypatch):
-        # a claim called outside a run fills the per-order memo; the next
-        # run must compute the route patched in between, not read that entry
+        # a claim called outside a run stores nothing, since the per-order
+        # memo is None then; the next run must compute the route patched in
+        # between
         assert analysis._claim_contiguity(1, 40) is None
         real = oracles.naive_build
         monkeypatch.setattr(oracles, "naive_build",
@@ -664,6 +811,8 @@ class TestVerifySuite:
             verify_suite(2, 1, 10)
         with pytest.raises(ValueError):
             verify_suite(1, 1, 0)
+        with pytest.raises(ValueError):
+            edge_count_recursive(2, 0)
 
 
 def test_prefix_searches_do_not_rescan_per_prefix(monkeypatch):

@@ -591,6 +591,7 @@ def test_horizon_zero_table():
 def test_order_validation():
     for fn in (
         lambda: c_series(0, 5),
+        lambda: c_series(2, -1),
         lambda: zeck_encode(0, 3),
         lambda: sequences.c_closed(-1, 3),
         lambda: c_beatty(0, 5),
