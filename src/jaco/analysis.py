@@ -561,7 +561,11 @@ def verify_suite(a_min: int, a_max: int, n: int) -> VerificationReport:
 
     Deterministic: the orders are walked in ascending order, and at each
     one the claims that cover it and have not failed yet run serially in
-    registry order, so each claim reports its first counterexample.
+    registry order, so each claim reports its first counterexample.  A
+    claim that raises fails at that order with the counterexample
+    "a=<a> raised <exception type>", and the others run on.  A MemoryError
+    or an OverflowError, which CPython raises when it refuses a table too
+    large to index, ends the run.
     """
     global _order_memo
     sequences.check_order(a_min)
@@ -576,7 +580,14 @@ def verify_suite(a_min: int, a_max: int, n: int) -> VerificationReport:
         try:
             for k, (claim, capped, orders, _) in enumerate(plans):
                 if found[k] is None and a in orders:
-                    found[k] = claim.fn(a, capped)
+                    try:
+                        found[k] = claim.fn(a, capped)
+                    except (MemoryError, OverflowError):
+                        # a refused allocation: the input is too large
+                        raise
+                    except Exception as exc:
+                        # no message text: it varies across Python versions
+                        found[k] = f"a={a} raised {type(exc).__name__}"
         finally:
             _order_memo = None
     return VerificationReport(tuple(

@@ -20,10 +20,7 @@ from itertools import chain, repeat
 from . import sequences
 
 
-_GraphFields = namedtuple("JacoGraph", "seq n")
-
-
-class JacoGraph(_GraphFields):
+class JacoGraph(namedtuple("JacoGraph", "seq n")):
     """A finite Jaco graph on vertices v_1..v_n: a prefix of its table, of its order.
 
     A named tuple (seq, n) that refuses a view outside its table: __new__
@@ -36,7 +33,7 @@ class JacoGraph(_GraphFields):
     def __new__(cls, seq: sequences.SequenceTable, n: int):
         if not 1 <= n < len(seq.c):
             raise ValueError(f"vertex count n must be in 1..{len(seq.c) - 1}, got {n}")
-        return _GraphFields.__new__(cls, seq, n)
+        return tuple.__new__(cls, (seq, n))
 
     @classmethod
     def _make(cls, iterable) -> JacoGraph:
@@ -142,6 +139,10 @@ def degree_profile(g: JacoGraph) -> DegreeProfile:
     return DegreeProfile(d_in, d_out, d_tot)
 
 
+def _not_a_series(m: int, k: int) -> ValueError:
+    return ValueError(f"c[{m}] = {k} exceeds {m}: not a series of c")
+
+
 def _summatory(c, a: int, m: int) -> int:
     """S(m) = c[0] + ... + c[m] of the order-a series c, in O(log m).
 
@@ -153,18 +154,24 @@ def _summatory(c, a: int, m: int) -> int:
 
     Each step takes m to c[m] - 1, below m/phi, and reads c at one index.
     The terms alternate in sign, so the loop takes two steps per turn, and
-    it sums each term doubled, halving once at the end.
+    it sums each term doubled, halving once at the end.  A table with
+    c[m] > m at a step is no series of c, and would never reach m = 0:
+    it raises ValueError.
     """
     # one step per turn with a flipped sign factor made edge_count_direct
     # 8-25 % slower
     twice = 0
     while m > 0:
         k = c[m]
+        if k > m:
+            raise _not_a_series(m, k)
         twice += k * (2 * m - a * (k - 1))
         m = k - 1
         if m == 0:
             break
         k = c[m]
+        if k > m:
+            raise _not_a_series(m, k)
         twice -= k * (2 * m - a * (k - 1))
         m = k - 1
     return twice // 2

@@ -140,9 +140,19 @@ def _levels(g: graph.JacoGraph) -> Iterator[tuple[int, int]]:
 
 
 def distances(g: graph.JacoGraph) -> tuple[int, ...]:
-    """dist[i] = hops from v_1 to v_i, with dist[0] = 0: a run of d per level d."""
-    runs = (repeat(d, e - s + 1) for d, (s, e) in enumerate(_levels(g)))
-    return tuple(chain((0,), chain.from_iterable(runs)))
+    """dist[i] = hops from v_1 to v_i, with dist[0] = 0: a run of d per level d.
+
+    The column is filled as one bytes object, one byte run per level, and
+    its tuple reads back the interpreter's shared small ints.  A byte holds
+    every level index of a table that fits in memory: by (L), level d >= 1
+    starts at v_{B_{d+1} + 1}, and the Liz number B_257 has 54 digits at
+    a = 1 and more at every other order.
+    """
+    # the runs live only inside the join, so they are freed before tuple()
+    # runs; past level 255, bytes((d,)) raises rather than wraps
+    return tuple(b"\0" + b"".join(
+        [bytes((d,)) * (e - s + 1) for d, (s, e) in enumerate(_levels(g))]
+    ))
 
 
 def psi_oracle(g: graph.JacoGraph) -> tuple[int, ...]:

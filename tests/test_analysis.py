@@ -518,6 +518,21 @@ class TestVerifySuite:
             pytest.param(
                 (sequences, "c_series"),
                 lambda real: lambda a, horizon: (
+                    real(a, horizon)._replace(c=(0, 2)) if horizon == 1 else real(a, horizon)
+                ),
+                (1, 3, 40),
+                # J_1 on such a table reads c[2] past its end, and the summatory
+                # c meets c[1] > 1: the two complete-prefix claims raise
+                {
+                    "seq.seed_values": "a=1 c[0]=0 c[1]=2",
+                    "graph.complete_prefix": "a=1 raised IndexError",
+                    "analysis.complete_prefix_count": "a=1 raised ValueError",
+                },
+                id="seed_values_raise",
+            ),
+            pytest.param(
+                (sequences, "c_series"),
+                lambda real: lambda a, horizon: (
                     _bumped(real(a, horizon), 17, by=2) if a == 2 and horizon >= 17
                     else real(a, horizon)
                 ),
@@ -777,19 +792,61 @@ class TestVerifySuite:
         last = analysis._CLAIMS[-1]
 
         def raising(a, n):
-            # the registry's last claim, so order 2's shared results are all held
+            # the registry's last claim, so order 2's shared results are all
+            # held; a MemoryError is the one error that ends a run
             if a == 2:
-                raise RuntimeError("injected")
+                raise MemoryError("injected")
             return last.fn(a, n)
 
         with monkeypatch.context() as m:
             m.setattr(analysis, "_CLAIMS",
                       (*analysis._CLAIMS[:-1], last._replace(fn=raising)))
-            with pytest.raises(RuntimeError, match="injected"):
+            with pytest.raises(MemoryError, match="injected"):
                 verify_suite(1, 3, 40)
         assert faulty_run() == faults
         assert verify_suite(2, 2, 40).passed
         assert faulty_run() == faults
+
+    def test_a_claim_that_raises_fails_only_at_its_order(self, monkeypatch):
+        # the claim that raises stops at order 2; every other claim runs at
+        # every order, the later ones included
+        ran = Counter()
+
+        def logged(claim, raises_at=None):
+            def fn(a, n):
+                ran[claim.claim_id, a] += 1
+                if a == raises_at:
+                    raise KeyError(f"no entry at order {a}")
+                return claim.fn(a, n)
+            return claim._replace(fn=fn)
+
+        first, *rest = analysis._CLAIMS
+        monkeypatch.setattr(analysis, "_CLAIMS", (
+            logged(first, raises_at=2), *(logged(claim) for claim in rest)
+        ))
+        report = verify_suite(1, 3, 40)
+        assert [c.counterexample for c in report.claims] == (
+            ["a=2 raised KeyError"] + [None] * len(rest)
+        )
+        assert render_report(report).splitlines()[0] == (
+            f"CLAIM {first.claim_id} FAIL checked=a[1..3] counterexample=a=2 raised KeyError"
+        )
+        assert ran == {(claim.claim_id, a): 1 for claim in rest for a in (1, 2, 3)} | {
+            (first.claim_id, 1): 1, (first.claim_id, 2): 1,
+        }
+
+    @pytest.mark.parametrize("error", [MemoryError, OverflowError])
+    def test_a_refused_allocation_ends_the_run(self, monkeypatch, error):
+        # what the CLI reports as an input too large is no claim's verdict
+        first, *rest = analysis._CLAIMS
+
+        def refused(a, n):
+            raise error("injected")
+
+        monkeypatch.setattr(analysis, "_CLAIMS", (first._replace(fn=refused), *rest))
+        with pytest.raises(error, match="injected"):
+            verify_suite(1, 1, 40)
+        assert analysis._order_memo is None
 
     def test_no_entry_of_a_claim_called_alone_is_read(self, monkeypatch):
         # a claim called outside a run stores nothing, since the per-order

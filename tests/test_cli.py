@@ -387,6 +387,26 @@ class TestExitStatus:
         assert out == ""
         assert err.startswith("jaco: ")
 
+    def test_claim_that_raises_exits_1_with_the_whole_report(self, capsys, monkeypatch):
+        real = sequences.c_series
+
+        def broken_seed(a, horizon):
+            table = real(a, horizon)
+            return table._replace(c=(0, 2)) if horizon == 1 else table
+
+        monkeypatch.setattr(sequences, "c_series", broken_seed)
+        code, out, err = run(capsys, "verify", "--a-min", "1", "--a-max", "3", "--n", "40")
+        assert (code, err) == (1, "")
+        lines = out.splitlines()
+        assert len(lines) == len(analysis._CLAIMS) + 1 and lines[-1] == "OVERALL FAIL"
+        assert [line for line in lines if " FAIL " in line] == [
+            "CLAIM seq.seed_values FAIL checked=a[1..3] counterexample=a=1 c[0]=0 c[1]=2",
+            "CLAIM graph.complete_prefix FAIL checked=a[1..3] m<=a+1"
+            " counterexample=a=1 raised IndexError",
+            "CLAIM analysis.complete_prefix_count FAIL checked=a[1..3] m<=a+1"
+            " counterexample=a=1 raised ValueError",
+        ]
+
     # above 2**60 items CPython refuses the table before allocating it (a
     # MemoryError, or an OverflowError past the index range), so these argvs
     # allocate nothing; sizes between ~10**8 and 2**60 would really allocate

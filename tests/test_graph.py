@@ -313,6 +313,13 @@ class TestSummatory:
         for m in (99_998, 99_999, 100_000):
             assert graph._summatory(c, a, m) == sums[m], f"a={a} m={m}"
 
+    @pytest.mark.parametrize("c, m", [((0, 2), 1), ((0, 2, 1, 2), 3)])
+    def test_a_table_that_is_no_series_raises(self, c, m):
+        # c[m] > m would step m up, never to 0: at the first step of a turn
+        # and at the second
+        with pytest.raises(ValueError, match=r"c\[1\] = 2 exceeds 1"):
+            graph._summatory(c, 1, m)
+
     def test_edge_count_stores_no_column(self):
         # the running sum of c is read at one index, never stored: a
         # column over 2e5 vertices would take megabytes

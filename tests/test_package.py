@@ -175,10 +175,14 @@ def test_records_are_immutable(name):
 def test_graph_outside_its_table_is_refused():
     seq = sequences.c_series(1, 5)
     g = graph.JacoGraph(seq, 5)
+    rebuild, args = g.__reduce_ex__(pickle.DEFAULT_PROTOCOL)[:2]
     for outside in (
         lambda: graph.JacoGraph(seq, 6),
         lambda: g._replace(n=len(g.seq.c)),
         lambda: graph.JacoGraph._make((seq, 0)),
+        # pickle and copy rebuild through the same constructor call
+        lambda: rebuild(*args[:-1], 0),
     ):
         with pytest.raises(ValueError):
             outside()
+    assert rebuild(*args) == g and type(rebuild(*args)) is graph.JacoGraph

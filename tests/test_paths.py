@@ -27,16 +27,49 @@ class TestDistances:
         assert list(distances(build(1, 13))[9:]) == [5, 5, 5, 5, 5]
         assert list(distances(build(3, 1))[1:]) == [0]
 
-    @pytest.mark.parametrize("a", [1, 2, 3, 4])
+    @pytest.mark.parametrize("a", range(1, 13))
     def test_matches_bfs(self, a):
-        g = build(a, 500)
-        assert list(distances(g)) == [0] + bfs_distances(g)[1:]
+        # a breadth-first search never leaves the prefix J_n, so one search
+        # of J_500 gives every n <= 500; each n is a graph on its own table
+        bfs = tuple([0] + bfs_distances(build(a, 500))[1:])
+        for n in range(1, 501):
+            assert distances(build(a, n)) == bfs[: n + 1], f"a={a} n={n}"
 
     @pytest.mark.parametrize("a", [1, 2, 3])
     def test_stable_across_truncations(self, a):
         big = distances(build(a, 300))
         for n in (10, 120):
             assert distances(build(a, n)) == big[: n + 1]
+
+    @pytest.mark.parametrize("a", [1, 2, 3])
+    def test_entries_are_shared_ints(self, a):
+        # one int object per level, not one per vertex
+        dist = distances(build(a, 50_000))
+        assert len(set(map(id, dist[1:]))) == dist[-1] + 1
+
+    @pytest.mark.parametrize("a", [1, 2, 3])
+    def test_a_byte_holds_every_level(self, a):
+        # level d >= 1 starts just past the Liz number B_{d+1} = liz[d], so
+        # level 256, the first a byte cannot hold, starts past B_257, a
+        # table of more than 10**50 vertices
+        liz = recurrence_terms(a, 1, 1, count=257)
+        dist = distances(build(a, 10_000))
+        for d in range(1, dist[-1] + 1):
+            assert dist[liz[d]] == d - 1 and dist[liz[d] + 1] == d, f"a={a} d={d}"
+        assert liz[256] > 10**50
+
+    def test_peak_stays_near_the_result(self):
+        # the byte runs of the levels are freed inside the join, so only the
+        # joined bytes, an eighth of the tuple, are alive beside the result
+        g = build(1, 200_000)
+        tracemalloc.start()
+        try:
+            dist = distances(g)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(dist) == 200_001
+        assert peak <= 1.15 * retained, f"peak {peak} retained {retained}"
 
 
 class TestPsiOracle:
