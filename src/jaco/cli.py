@@ -164,7 +164,8 @@ def _write_text(handle, text: str) -> None:
 
 
 def _cmd_build(args) -> tuple[str, bool]:
-    return export.render(graph.build(args.a, args.n), args.format), True
+    # looked up when called, so a wrapper bound over to_<format> runs
+    return getattr(export, f"to_{args.format}")(graph.build(args.a, args.n)), True
 
 
 def _cmd_seq(args) -> tuple[str, bool]:
@@ -196,14 +197,16 @@ def _cmd_verify(args) -> tuple[str, bool]:
 def _cmd_paths(args) -> tuple[str, bool]:
     g = graph.build(args.a, args.n)
     if args.psi:
-        table = paths.path_table(g)
-        dist, psi = table.dist, table.psi
-        lines = [f"{i} {dist[i]} {psi[i]}" for i in range(1, args.n + 1)]
+        dist, psi = paths.path_table(g)
+
+        def rows(lo: int, hi: int) -> str:
+            return "".join([f"{i} {dist[i]} {psi[i]}\n" for i in range(lo, hi)])
     else:
         dist = paths.distances(g)
-        lines = [f"{i} {dist[i]}" for i in range(1, args.n + 1)]
-    lines.append("")
-    return "\n".join(lines), True
+
+        def rows(lo: int, hi: int) -> str:
+            return "".join([f"{i} {dist[i]}\n" for i in range(lo, hi)])
+    return export._joined(1, args.n + 1, rows), True
 
 
 def _cmd_milestone(args) -> tuple[str, bool]:

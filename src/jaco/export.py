@@ -3,13 +3,10 @@
 Every renderer is byte-stable for a given input: arcs are emitted in
 lexicographic (tail, head) order, JSON keys in a fixed order, line
 endings are a single newline.  Graphs are always rebuilt from (a, n), so
-there is no importer.  Each renderer returns its whole text, built in
-memory by one join, not streamed.
+there is no importer.  Each renderer returns its whole text.
 """
 
 from __future__ import annotations
-
-from itertools import islice
 
 from . import graph, sequences
 
@@ -74,32 +71,30 @@ def to_csv(g: graph.JacoGraph) -> str:
     return "".join(["tail,head\n", *_arc_pieces(g, "%d,", "\n")])
 
 
-_SEQ_BLOCK = 2048  # rows per join in seq_dump
+_BLOCK = 2048  # lines per block in _joined
+
+
+def _joined(start: int, stop: int, block, head: str = "", tail: str = "") -> str:
+    """head, then block(lo, hi) for ascending blocks of lines start..stop-1,
+    then tail, as one string.
+
+    Each block covers _BLOCK lines (the last may be short) and is built in
+    order, so block may read a shared iterator.  Only one block's pieces
+    are alive at once besides the joined blocks: no string per line
+    outlives its block.
+    """
+    blocks = (block(lo, min(lo + _BLOCK, stop)) for lo in range(start, stop, _BLOCK))
+    return "".join([head, *blocks, tail])
 
 
 def seq_dump(t: sequences.SequenceTable) -> str:
-    """Tab-separated sequence table, one row per n of the table, from 0.
+    """Tab-separated sequence table, one row per n of the table, from 0."""
+    a, c = t.a, t.c
 
-    The rows are joined _SEQ_BLOCK at a time, so only one block of row
-    strings is alive at once besides the joined blocks.
-    """
-    a = t.a
-    rows = (
-        f"{n}\t{cn}\t{n - cn}\t{(a - 1) * n + cn}\t{a * n + cn}\n"
-        for n, cn in enumerate(t.c)
-    )
-    blocks = ["n\tc\td_minus\td_plus\treach\n"]
-    for _ in range(0, len(t.c), _SEQ_BLOCK):
-        blocks.append("".join(islice(rows, _SEQ_BLOCK)))
-    return "".join(blocks)
+    def rows(lo: int, hi: int) -> str:
+        return "".join([
+            f"{n}\t{cn}\t{n - cn}\t{(a - 1) * n + cn}\t{a * n + cn}\n"
+            for n, cn in zip(range(lo, hi), c[lo:hi])
+        ])
 
-
-def render(g: graph.JacoGraph, fmt: str) -> str:
-    """Dispatch to the graph format's renderer, to_<fmt>.
-
-    The renderer is looked up by name when called, not held in a table,
-    so a wrapper bound over to_<fmt> (a tracer's) sees every render.
-    """
-    if fmt not in FORMATS:
-        raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS}")
-    return globals()[f"to_{fmt}"](g)
+    return _joined(0, len(c), rows, head="n\tc\td_minus\td_plus\treach\n")

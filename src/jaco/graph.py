@@ -153,26 +153,17 @@ def _summatory(c, a: int, m: int) -> int:
         S(m) = k*m - a*k(k-1)/2 - S(k-1),   S(0) = 0.
 
     Each step takes m to c[m] - 1, below m/phi, and reads c at one index.
-    The terms alternate in sign, so the loop takes two steps per turn, and
-    it sums each term doubled, halving once at the end.  A table with
-    c[m] > m at a step is no series of c, and would never reach m = 0:
-    it raises ValueError.
+    The terms alternate in sign; the loop sums each term doubled, halving
+    once at the end.  A table with c[m] > m at a step is no series of c,
+    and would never reach m = 0: it raises ValueError.
     """
-    # one step per turn with a flipped sign factor made edge_count_direct
-    # 8-25 % slower
-    twice = 0
+    twice, sign = 0, 1
     while m > 0:
         k = c[m]
         if k > m:
             raise _not_a_series(m, k)
-        twice += k * (2 * m - a * (k - 1))
-        m = k - 1
-        if m == 0:
-            break
-        k = c[m]
-        if k > m:
-            raise _not_a_series(m, k)
-        twice -= k * (2 * m - a * (k - 1))
+        twice += sign * k * (2 * m - a * (k - 1))
+        sign = -sign
         m = k - 1
     return twice // 2
 

@@ -52,7 +52,7 @@ from collections.abc import Iterator
 from itertools import accumulate, chain, islice, repeat, takewhile
 from operator import and_, ne
 
-from . import graph, sequences
+from . import export, graph, sequences
 
 
 class PathTable(namedtuple("PathTable", "dist psi")):
@@ -251,29 +251,23 @@ _VERDICTS = {
 }
 
 
-_CONJECTURE_BLOCK = 2048  # lines per join in render_conjecture
-
-
 def render_conjecture(report: ConjectureReport) -> str:
     """Line-oriented text form of a conjecture scan, one line per k:
 
         k=7 dplus=(4,4,5) psi=(2,2,1) forward=OK converse=OK
 
-    then a SUMMARY line.  The lines are joined _CONJECTURE_BLOCK at a
-    time.  A block of lines lo..hi-1 formats dplus[lo-1..hi] and
-    psi[lo-1..hi] once each, so each value is formatted once per block
+    then a SUMMARY line.  A block of lines lo..hi-1 formats dplus[lo-1..hi]
+    and psi[lo-1..hi] once each, so each value is formatted once per block
     (the two at a block's end once more in the next), and its text is one
-    join over the pieces of its lines, with no line string built.  Only
-    one block's pieces are alive at once besides the joined blocks.
+    join over the pieces of its lines, with no line string built.
     """
     # not one f-string per line: that formats each value three times and
     # took 15-30 % longer
     n = report.n_max
     flags = report._flags
     verdicts = map(_VERDICTS.__getitem__, zip(*flags))
-    blocks = []
-    for lo in range(7, n, _CONJECTURE_BLOCK):
-        hi = min(lo + _CONJECTURE_BLOCK, n)
+
+    def lines(lo: int, hi: int) -> str:
         d = list(map(str, report.dplus[lo - 1 : hi + 1]))
         p = list(map(str, report.psi[lo - 1 : hi + 1]))
         pieces = zip(
@@ -282,6 +276,7 @@ def render_conjecture(report: ConjectureReport) -> str:
             repeat(") psi=("), p, repeat(","), p[1:], repeat(","), p[2:],
             repeat(") "), islice(verdicts, hi - lo),
         )
-        blocks.append("".join(chain.from_iterable(pieces)))
-    blocks.append(f"SUMMARY scanned=7..{n - 1} violations={_violations(flags)}\n")
-    return "".join(blocks)
+        return "".join(chain.from_iterable(pieces))
+
+    summary = f"SUMMARY scanned=7..{n - 1} violations={_violations(flags)}\n"
+    return export._joined(7, n, lines, tail=summary)

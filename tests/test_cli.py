@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -11,10 +12,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import jaco
-from jaco import analysis, cli, oracles, sequences
+from jaco import analysis, cli, export, oracles, sequences
 from jaco.cli import main
 from jaco.graph import build
-from jaco.paths import psi_oracle
+from jaco.paths import path_table, psi_oracle
 
 # the directory holding the jaco this run imports, for the child processes
 # (src/ in a checkout, site-packages for an installed package)
@@ -47,6 +48,21 @@ class TestBuild:
         capsys.readouterr()
         assert code2 == 0
         assert target.read_text() == out
+
+    def test_each_format_runs_the_renderer_bound_at_call_time(self, capsys, monkeypatch):
+        g = build(2, 7)
+        for fmt in export.FORMATS:
+            code, out, _ = run(capsys, "build", "--a", "2", "--n", "7", "--format", fmt)
+            assert (code, out) == (0, getattr(export, f"to_{fmt}")(g)), fmt
+        # a wrapper bound over a renderer, as a tracer binds one, is the one run
+        monkeypatch.setattr(export, "to_csv", lambda g: "wrapped\n")
+        code, out, _ = run(capsys, "build", "--a", "2", "--n", "7", "--format", "csv")
+        assert (code, out) == (0, "wrapped\n")
+
+    def test_unknown_format(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["build", "--a", "1", "--n", "3", "--format", "svg"])
+        assert exc.value.code == 2
 
     def test_io_failure(self, capsys):
         code, _, err = run(capsys, "build", "--a", "1", "--n", "3",
@@ -255,6 +271,36 @@ class TestPaths:
                 assert code == 0
                 printed = [int(line.split()[2]) for line in out.splitlines()]
                 assert printed == list(psi_oracle(build(a, n))[1:])
+
+    @pytest.mark.parametrize("a", [1, 2])
+    def test_block_edges(self, capsys, a):
+        # outputs that end just before, at and just after a block edge
+        block = export._BLOCK
+        for n in (block - 1, block, block + 1, 2 * block, 2 * block + 1):
+            dist, psi = path_table(build(a, n))
+            code, out, _ = run(capsys, "paths", "--a", str(a), "--n", str(n), "--psi")
+            assert code == 0
+            assert out == "".join(f"{i} {dist[i]} {psi[i]}\n" for i in range(1, n + 1))
+            code, out, _ = run(capsys, "paths", "--a", str(a), "--n", str(n))
+            assert code == 0
+            assert out == "".join(f"{i} {dist[i]}\n" for i in range(1, n + 1))
+
+    def test_peak_stays_near_the_text(self, monkeypatch):
+        # rows are joined in blocks, so no string per row is alive at once;
+        # the graph and its path table are built before tracing starts
+        g = build(1, 200_000)
+        table = path_table(g)
+        monkeypatch.setattr(cli.graph, "build", lambda a, n: g)
+        monkeypatch.setattr(cli.paths, "path_table", lambda g: table)
+        args = cli._PARSER.parse_args(["paths", "--a", "1", "--n", "200000", "--psi"])
+        tracemalloc.start()
+        try:
+            text, ok = cli._cmd_paths(args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ok and text.count("\n") == 200_000
+        assert peak <= 2.5 * len(text), f"peak {peak} text {len(text)}"
 
 
 class TestMilestone:

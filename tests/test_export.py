@@ -108,7 +108,7 @@ class TestSeqDump:
     @pytest.mark.parametrize("a", [1, 3])
     def test_block_edges(self, a):
         # tables that end just before, at and just after a block edge
-        block = export._SEQ_BLOCK
+        block = export._BLOCK
         for horizon in (block - 2, block - 1, block, 2 * block - 1, 2 * block):
             t = c_series(a, horizon)
             rows = [
@@ -149,17 +149,6 @@ def test_rendering_is_stable_across_calls():
     for _ in range(3):
         assert to_dot(build(2, 7)) == to_dot(build(2, 7))
         assert to_json(build(2, 7)) == to_json(build(2, 7))
-
-
-def test_render_calls_the_renderer_bound_at_call_time(monkeypatch):
-    g = build(2, 7)
-    assert [export.render(g, fmt) for fmt in export.FORMATS] == [to_dot(g), to_json(g), to_csv(g)]
-    # a wrapper bound over a renderer, as the benchmark's tracer binds one, is the one run
-    monkeypatch.setattr(export, "to_csv", lambda g: "wrapped\n")
-    assert export.render(g, "csv") == "wrapped\n"
-    with pytest.raises(ValueError, match=r"^unknown format 'svg', expected one of "
-                                         r"\('dot', 'json', 'csv'\)$"):
-        export.render(g, "svg")
 
 
 # Per-arc reference renderers: one formatted line (or [i, j] pair) per arc of

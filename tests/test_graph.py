@@ -315,8 +315,8 @@ class TestSummatory:
 
     @pytest.mark.parametrize("c, m", [((0, 2), 1), ((0, 2, 1, 2), 3)])
     def test_a_table_that_is_no_series_raises(self, c, m):
-        # c[m] > m would step m up, never to 0: at the first step of a turn
-        # and at the second
+        # c[m] > m would step m up, never to 0: at the first step and at a
+        # later one
         with pytest.raises(ValueError, match=r"c\[1\] = 2 exceeds 1"):
             graph._summatory(c, 1, m)
 
