@@ -210,6 +210,24 @@ class TestVerifySuite:
                 id="psi_oracle",
             ),
             pytest.param(
+                (paths, "psi_oracle"),
+                lambda real: lambda g: (7, *real(g)[1:]),
+                (1, 1, 40),
+                # j = 0 is no vertex, but both claims compare the columns from 0
+                {
+                    "paths.psi_recursion_matches_dp": "a=1 j=0 recursion=0 dp=7",
+                    "paths.psi_fast_matches_dp": "a=1 j=0",
+                },
+                id="psi_oracle_at_0",
+            ),
+            pytest.param(
+                (oracles, "bfs_distances"),
+                lambda real: lambda g: real(g)[:-1] if g.n == 40 else real(g),
+                (1, 1, 40),
+                {"paths.distance_recursion_matches_bfs": "a=1 i=40 8!=None"},
+                id="bfs_distances_short",
+            ),
+            pytest.param(
                 (paths, "path_table"),
                 lambda real: lambda g: real(g)._replace(psi=tuple(
                     p + (g.n == 40 and j == 8) for j, p in enumerate(real(g).psi)
@@ -399,6 +417,14 @@ class TestVerifySuite:
                 (1, 1, 40),
                 {"seq.matches_bruteforce_definition": "a=1 n=17"},
                 id="c_series_bruteforce",
+            ),
+            pytest.param(
+                (oracles, "c_series_bruteforce"),
+                lambda real: lambda a, n: real(a, n)[:-1] if a == 2 else real(a, n),
+                (1, 3, 40),
+                # the shorter route parts from c where it ends
+                {"seq.matches_bruteforce_definition": "a=2 n=40"},
+                id="c_series_bruteforce_short",
             ),
             # each route below is planted once, on its defining module, and
             # every claim that reads it through a graph or a table sees it
@@ -766,6 +792,25 @@ class TestVerifySuite:
             tracemalloc.stop()
         assert report.passed
         assert claims <= 1.2 * alone, f"claims {claims} uniqueness_check {alone}"
+
+    def test_complete_prefix_streams_its_arcs(self):
+        # the arcs of J_m(a) are compared in order with the pairs of 1..m,
+        # so no m(m-1)/2-element set is built (about 2.2 MB at a = 150)
+        tracemalloc.start()
+        try:
+            assert analysis._claim_complete_prefix(150, 1) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, peak
+
+    def test_first_difference(self):
+        first = analysis._first_difference
+        assert first([1, 2, 3], (1, 2, 3)) is None
+        assert first([], iter(())) is None
+        assert first([1, 2], [1, 2, 3]) == (2, None, 3)
+        assert first(iter([1, 2, 3]), [1, 2], 1) == (3, 3, None)
+        assert first([0, 2], [1, 2]) == (0, 0, 1)
 
     def test_no_shared_result_outlives_a_run(self, monkeypatch):
         # a run that raises mid-order and a run that returns both leave
