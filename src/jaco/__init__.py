@@ -25,91 +25,17 @@ Rules that hold in every module:
   jaco.jaconian reaches nothing inside the package.
 """
 
-from .analysis import (
-    TheoremViolationError,
-    VerificationReport,
-    edge_count_recursive,
-    edge_count_theorem,
-    milestone_delta,
-    render_report,
-    verify_suite,
-)
-from .export import seq_dump, to_csv, to_dot, to_json
-from .graph import (
-    DegreeProfile,
-    JacoGraph,
-    JaconianInfo,
-    arcs,
-    build,
-    degree_profile,
-    edge_count_direct,
-    hope_is_complete,
-    in_neighbors,
-    jaconian,
-    out_neighbors,
-)
-from .paths import (
-    ConjectureReport,
-    PathTable,
-    UniquenessReport,
-    conjecture_scan,
-    distances,
-    path_table,
-    psi_oracle,
-    render_conjecture,
-    uniqueness_check,
-)
-from .sequences import (
-    SequenceTable,
-    ZeckDigitError,
-    bettina_dplus,
-    c_beatty,
-    c_closed,
-    c_series,
-    tau,
-    zeck_decode,
-    zeck_encode,
-)
+from . import analysis, export, graph, paths, sequences
+from .analysis import *
+from .export import *
+from .graph import *
+from .paths import *
+from .sequences import *
 
-__all__ = [
-    "ConjectureReport",
-    "DegreeProfile",
-    "JacoGraph",
-    "JaconianInfo",
-    "PathTable",
-    "SequenceTable",
-    "TheoremViolationError",
-    "UniquenessReport",
-    "VerificationReport",
-    "ZeckDigitError",
-    "arcs",
-    "bettina_dplus",
-    "build",
-    "c_beatty",
-    "c_closed",
-    "c_series",
-    "conjecture_scan",
-    "degree_profile",
-    "distances",
-    "edge_count_direct",
-    "edge_count_recursive",
-    "edge_count_theorem",
-    "hope_is_complete",
-    "in_neighbors",
-    "jaconian",
-    "milestone_delta",
-    "out_neighbors",
-    "path_table",
-    "psi_oracle",
-    "render_conjecture",
-    "render_report",
-    "seq_dump",
-    "tau",
-    "to_csv",
-    "to_dot",
-    "to_json",
-    "uniqueness_check",
-    "verify_suite",
-    "zeck_decode",
-    "zeck_encode",
-]
+# each module's __all__ is its public surface; this one is their union
+__all__ = []
+__all__ += sequences.__all__
+__all__ += graph.__all__
+__all__ += analysis.__all__
+__all__ += paths.__all__
+__all__ += export.__all__

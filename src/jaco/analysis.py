@@ -25,6 +25,11 @@ vertex is complete.
 
 from __future__ import annotations
 
+__all__ = [
+    "TheoremViolationError", "ClaimResult", "VerificationReport", "edge_count_theorem",
+    "edge_count_recursive", "milestone_delta", "verify_suite", "render_report",
+]
+
 from bisect import bisect_right
 from collections import namedtuple
 from itertools import (
@@ -477,8 +482,9 @@ def _claim_non_repetition(a, n):
     # when the psi triple is
     g = graph.build(a, n)
     report = paths.ConjectureReport(g.seq.c, _path_table(g).psi)
-    if report.violations:
-        k = next(k for k, _, _, forward, converse in report.rows if not forward or not converse)
+    # the first k where the two flags part, with no row built
+    k = next(compress(count(7), map(ne, *report._flags)), None)
+    if k is not None:
         return f"a={a} k={k}"
 
 

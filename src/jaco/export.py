@@ -8,6 +8,8 @@ there is no importer.  Each renderer returns its whole text.
 
 from __future__ import annotations
 
+__all__ = ["to_dot", "to_json", "to_csv", "seq_dump"]
+
 from . import graph, sequences
 
 FORMATS = ("dot", "json", "csv")  # each renders through to_<format>

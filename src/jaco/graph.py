@@ -12,6 +12,11 @@ i >= c[n], so that min is a*i + c[i] below c[n] and n from c[n] on.
 
 from __future__ import annotations
 
+__all__ = [
+    "JacoGraph", "DegreeProfile", "JaconianInfo", "build", "out_neighbors", "in_neighbors",
+    "arcs", "degree_profile", "edge_count_direct", "jaconian", "hope_is_complete",
+]
+
 import operator
 from collections import namedtuple
 from collections.abc import Iterator

@@ -46,6 +46,11 @@ dplus.  Proof sketch:
 
 from __future__ import annotations
 
+__all__ = [
+    "PathTable", "UniquenessReport", "ConjectureReport", "distances", "psi_oracle",
+    "path_table", "uniqueness_check", "conjecture_scan", "render_conjecture",
+]
+
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from collections.abc import Iterator
@@ -56,7 +61,8 @@ from . import export, graph, sequences
 
 
 class PathTable(namedtuple("PathTable", "dist psi")):
-    """Distances from v_1 and shortest-path counts, index 0 unused."""
+    """Distances from v_1 (the bytes of distances) and shortest-path
+    counts, index 0 unused."""
 
     __slots__ = ()
 
@@ -118,8 +124,9 @@ def _violations(flags: tuple[list[bool], list[bool]]) -> int:
 
 def _non_repetitive(x: tuple[int, ...], n_max: int) -> list[bool]:
     """[x[k-1] != x[k] and x[k] != x[k+1] for k in 7..n_max-1]."""
-    steps = list(map(ne, x[6:n_max], x[7 : n_max + 1]))  # steps[i]: x[6+i] != x[7+i]
-    return list(map(and_, steps, steps[1:]))
+    # islice, not slices: no copy of the column is built beside the flags
+    steps = list(map(ne, islice(x, 6, n_max), islice(x, 7, n_max + 1)))  # x[6+i] != x[7+i]
+    return list(map(and_, steps, islice(steps, 1, None)))
 
 
 def _levels(g: graph.JacoGraph) -> Iterator[tuple[int, int]]:
@@ -139,20 +146,17 @@ def _levels(g: graph.JacoGraph) -> Iterator[tuple[int, int]]:
         s, e = e + 1, min(a * e + c[e], n)
 
 
-def distances(g: graph.JacoGraph) -> tuple[int, ...]:
+def distances(g: graph.JacoGraph) -> bytes:
     """dist[i] = hops from v_1 to v_i, with dist[0] = 0: a run of d per level d.
 
-    The column is filled as one bytes object, one byte run per level, and
-    its tuple reads back the interpreter's shared small ints.  A byte holds
+    The column is one bytes object, filled one byte run per level; indexing
+    and iterating it give the interpreter's shared small ints.  A byte holds
     every level index of a table that fits in memory: by (L), level d >= 1
     starts at v_{B_{d+1} + 1}, and the Liz number B_257 has 54 digits at
     a = 1 and more at every other order.
     """
-    # the runs live only inside the join, so they are freed before tuple()
-    # runs; past level 255, bytes((d,)) raises rather than wraps
-    return tuple(b"\0" + b"".join(
-        [bytes((d,)) * (e - s + 1) for d, (s, e) in enumerate(_levels(g))]
-    ))
+    # past level 255, bytes((d,)) raises rather than wraps
+    return b"\0" + b"".join([bytes((d,)) * (e - s + 1) for d, (s, e) in enumerate(_levels(g))])
 
 
 def psi_oracle(g: graph.JacoGraph) -> tuple[int, ...]:

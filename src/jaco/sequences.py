@@ -40,6 +40,11 @@ is read in travels beside it as an argument.
 
 from __future__ import annotations
 
+__all__ = [
+    "ZeckDigitError", "SequenceTable", "recurrence_terms", "c_series", "zeck_encode",
+    "validate_digits", "zeck_decode", "tau", "c_closed", "c_beatty", "bettina_dplus",
+]
+
 from bisect import bisect_right
 from collections import namedtuple
 from functools import cache, lru_cache

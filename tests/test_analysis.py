@@ -804,6 +804,32 @@ class TestVerifySuite:
             tracemalloc.stop()
         assert peak < 64 * 1024, peak
 
+    def test_a_failing_non_repetition_claim_builds_no_rows(self, monkeypatch):
+        # (N) names its k by one search over the two flag columns, so a
+        # planted fault near the end costs what a passing call does
+        n = 200_000
+
+        def measured():
+            tracemalloc.start()
+            try:
+                found = analysis._claim_non_repetition(1, n)
+                return found, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        passing, clean = measured()
+        real = paths.path_table
+
+        def faulty(g):
+            dist, psi = real(g)
+            j = g.n - 1000
+            return paths.PathTable(dist, (*psi[:j], psi[j] + 1, *psi[j + 1 :]))
+
+        monkeypatch.setattr(paths, "path_table", faulty)
+        failing, faulted = measured()
+        assert (passing, failing) == (None, f"a=1 k={n - 1000}")
+        assert faulted <= 1.25 * clean, f"faulted {faulted} clean {clean}"
+
     def test_first_difference(self):
         first = analysis._first_difference
         assert first([1, 2, 3], (1, 2, 3)) is None

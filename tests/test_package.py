@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import jaco
-from jaco import analysis, graph, paths, sequences
+from jaco import analysis, export, graph, paths, sequences
 
 SRC = Path(jaco.__file__).parent
 
@@ -18,6 +18,30 @@ def test_every_exported_name_resolves():
     missing = [name for name in jaco.__all__ if not hasattr(jaco, name)]
     assert missing == []
     assert len(set(jaco.__all__)) == len(jaco.__all__)
+
+
+# the modules whose __all__ make up jaco.__all__, in that order
+PUBLIC_MODULES = (sequences, graph, analysis, paths, export)
+
+
+def test_each_module_declares_its_public_names_once():
+    # a module's __all__ names every public function, record and exception
+    # it defines and nothing it only binds, such as analysis's copy of
+    # edge_count_direct; the argument guard sequences.check_order is the
+    # one public def left out.  The package re-exports the lists as they are
+    for module in PUBLIC_MODULES:
+        declared = module.__all__
+        defined = {
+            name for name, value in vars(module).items()
+            if not name.startswith("_") and callable(value)
+            and getattr(value, "__module__", None) == module.__name__
+        }
+        assert len(set(declared)) == len(declared), module.__name__
+        assert set(declared) <= defined, module.__name__
+        assert defined - set(declared) == ({"check_order"} if module is sequences else set())
+        for name in declared:
+            assert getattr(jaco, name) is getattr(module, name), name
+    assert jaco.__all__ == [name for module in PUBLIC_MODULES for name in module.__all__]
 
 
 def test_routes_keep_their_defining_function_metadata():

@@ -31,7 +31,7 @@ class TestDistances:
     def test_matches_bfs(self, a):
         # a breadth-first search never leaves the prefix J_n, so one search
         # of J_500 gives every n <= 500; each n is a graph on its own table
-        bfs = tuple([0] + bfs_distances(build(a, 500))[1:])
+        bfs = bytes([0] + bfs_distances(build(a, 500))[1:])
         for n in range(1, 501):
             assert distances(build(a, n)) == bfs[: n + 1], f"a={a} n={n}"
 
@@ -59,17 +59,18 @@ class TestDistances:
         assert liz[256] > 10**50
 
     def test_peak_stays_near_the_result(self):
-        # the byte runs of the levels are freed inside the join, so only the
-        # joined bytes, an eighth of the tuple, are alive beside the result
-        g = build(1, 200_000)
+        # the result is the joined byte runs of the levels with dist[0] in
+        # front: one byte per vertex, and at its peak the join beside it
+        n = 200_000
+        g = build(1, n)
         tracemalloc.start()
         try:
             dist = distances(g)
-            retained, peak = tracemalloc.get_traced_memory()
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(dist) == 200_001
-        assert peak <= 1.15 * retained, f"peak {peak} retained {retained}"
+        assert type(dist) is bytes and len(dist) == n + 1
+        assert peak <= 2.25 * (n + 1), f"peak {peak} n {n}"
 
 
 class TestPsiOracle:
@@ -150,7 +151,7 @@ class TestPsiFast:
         # table that ends at n and on one that runs past it
         for n in range(1, 151):
             for g in (build(a, n), JacoGraph(c_series(a, 2 * n + 5), n)):
-                dist = tuple([0] + bfs_distances(g)[1:])
+                dist = bytes([0] + bfs_distances(g)[1:])
                 assert path_table(g) == PathTable(dist, psi_oracle(g)), f"a={a} n={n}"
                 assert distances(g) == dist
 
@@ -369,6 +370,21 @@ class TestConjectureScan:
             tracemalloc.stop()
         assert text.count("\n") == 20_000 - 7 + 1
         assert peak <= 2.5 * len(text), f"peak {peak} text {len(text)}"
+
+    def test_flags_peak_near_the_flags(self):
+        # each column is read through islice, not sliced, so at the peak only
+        # the two flag lists and one list of steps are alive, 8 bytes a slot
+        n = 200_000
+        g = build(1, n)
+        report = ConjectureReport(g.seq.c, path_table(g).psi)
+        tracemalloc.start()
+        try:
+            flags = report._flags
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert list(map(len, flags)) == [n - 7, n - 7]
+        assert peak <= 3.5 * 8 * n, f"peak {peak} n {n}"
 
 
 def reference_conjecture(n_max, dplus, psi):
