@@ -235,7 +235,8 @@ def jaconian(g: JacoGraph) -> JaconianInfo:
     O(1) plus the size of the Jaconian set, by the closed form of
     _jaconian_at: the set is the run v_first..v_last and the Hope range
     runs from first + 1 to n.  Only this route builds a JaconianInfo; the
-    prefix walkers in analysis read _jaconian_at's three ints.
+    prefix walkers in analysis and hope_is_complete read _jaconian_at's
+    three ints.
     """
     seq, n = g
     delta, first, last = _jaconian_at(seq, n)
@@ -243,17 +244,19 @@ def jaconian(g: JacoGraph) -> JaconianInfo:
 
 
 def hope_is_complete(g: JacoGraph) -> tuple[bool, tuple[int, int] | None]:
-    """Whether the subgraph above the prime index is complete.
+    """Whether the subgraph above the prime index is complete, in O(1).
 
-    Returns (True, None) or (False, first missing pair).  Vacuously true
-    for Hope ranges with fewer than two vertices.  The reach a*i + c[i]
-    increases with i, so only the first Hope vertex can fall short of v_n.
+    Returns (True, None) or (False, first missing pair).  The Hope range
+    runs from i = first + 1 to n, with the prime index first read from
+    _jaconian_at, and is vacuously complete with fewer than two vertices.
+    The reach a*i + c[i] increases with i, so only the first Hope vertex
+    can fall short of v_n.
     """
-    hope = jaconian(g).hope_range
-    if len(hope) < 2:
+    seq, n = g
+    i = _jaconian_at(seq, n)[1] + 1
+    if i >= n:
         return True, None
-    (a, c), n = g
-    i = hope[0]
+    a, c = seq
     last = a * i + c[i]
     if last < n:
         return False, (i, last + 1)

@@ -22,7 +22,10 @@ def c_series_bruteforce(a: int, horizon: int) -> list[int]:
     if horizon >= 1:
         c[1] = 1
     for n in range(2, horizon + 1):
-        c[n] = next(k for k in range(1, n) if a * k + c[k] >= n)
+        for k in range(1, n):
+            if a * k + c[k] >= n:
+                c[n] = k
+                break
     return c
 
 

@@ -167,7 +167,7 @@ def psi_oracle(g: graph.JacoGraph) -> tuple[int, ...]:
     in-neighbor window [c[j], j-1] is scanned directly, with no reliance
     on any structure of the dist array.
     """
-    dist = distances(g)
+    dist = list(distances(g))  # a list index is faster than a bytes index
     psi = [0] * (g.n + 1)
     psi[1] = 1
     c = g.seq.c

@@ -287,10 +287,13 @@ class TestVerifySuite:
                 (graph, "jaconian"),
                 lambda real: lambda g: (
                     real(g)._replace(hope_range=range(1, g.n + 1))
-                    if g.n == 20 else real(g)
+                    if g.n == 40 else real(g)
                 ),
                 (1, 1, 40),
-                {"graph.hope_complete": "a=1 n=20 missing=(1, 3)"},
+                # hope_is_complete reads the prime index from the closed
+                # form, so only the check of J_40's record against the full
+                # degree scan sees the planted range
+                {"graph.monotone_delta": "a=1 n=40 sweep differs from full scan"},
                 id="hope_range",
             ),
             pytest.param(
@@ -970,8 +973,8 @@ def test_prefix_searches_do_not_rescan_per_prefix(monkeypatch):
 
 
 def test_prefix_walkers_build_no_jaconian_record(monkeypatch):
-    # the walkers read the closed form's three ints; only the public
-    # jaconian(g) builds a JaconianInfo, one per call
+    # the walkers and hope_is_complete read the closed form's three ints;
+    # only the public jaconian(g) builds a JaconianInfo, one per call
     built = []
 
     class Counted(graph.JaconianInfo):
@@ -983,6 +986,9 @@ def test_prefix_walkers_build_no_jaconian_record(monkeypatch):
     milestone_delta(12)
     milestone_delta(24)
     edge_count_recursive(2, 200)
+    seq = sequences.c_series(2, 200)
+    for m in range(1, 201):
+        graph.hope_is_complete(graph.JacoGraph(seq, m))
     assert len(built) == 0
     graph.jaconian(build(2, 50))
     assert len(built) == 1
