@@ -1,9 +1,8 @@
 """Edge counts by the Hope decomposition and the prime-vertex recurrence
 (the direct count lives in graph), the maximum-degree milestone search,
-and the verification harness.  The prefix walkers (the milestone search,
-the recursive edge count and the monotone-delta and lowest-in-neighbor
-claims) build one sequence table each and read the maximum degree of
-every prefix from graph._jaconian_at, not from a degree scan.
+and the verification harness.  The prefix walkers read the maximum degree
+of every prefix from graph._jaconian_at, not from a degree scan, and the
+recursive edge count walks the prefixes of the caller's graph.
 
 The harness turns every structural claim the library relies on into a
 deterministic pass/fail check over a parameter grid, reporting the first
@@ -32,6 +31,7 @@ __all__ = [
 
 from bisect import bisect_right
 from collections import namedtuple
+from collections.abc import Iterator
 from itertools import (
     chain, combinations, compress, count, islice, repeat, starmap, takewhile, zip_longest,
 )
@@ -82,22 +82,21 @@ def edge_count_theorem(g: graph.JacoGraph) -> int:
     return hope_size * (hope_size - 1) // 2 + graph._out_arcs(g, k)
 
 
-def edge_count_recursive(a: int, n_max: int) -> list[int]:
-    """Edge totals of J_1(a)..J_{n_max}(a) by the prime-vertex recurrence.
+def edge_count_recursive(g: graph.JacoGraph) -> Iterator[int]:
+    """Yield the edge totals of J_1(a)..J_n(a) on the prefixes of g = J_n(a).
 
-    Growing J_n to J_{n+1} adds n - i arcs when the prime vertex v_i is
-    already saturated (degree a*i) and n - i + 1 arcs otherwise.  This is
-    the one copy of the recurrence, and the edge-count claim reads it.
-    Returned list is 0-indexed: result[n - 1] is the total for J_n(a).
+    Growing J_m to J_{m+1} adds m - i arcs when the prime vertex v_i is
+    already saturated (degree a*i) and m - i + 1 arcs otherwise.  This is
+    the one copy of the recurrence, and the edge-count claim reads it.  It
+    returns an iterator and builds no table or list; to index, take list(...).
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    seq = sequences.c_series(a, n_max)
-    eps = [0]
-    for n in range(1, n_max):
-        delta, i, _ = graph._jaconian_at(seq, n)
-        eps.append(eps[-1] + n - i + (delta != a * i))
-    return eps
+    seq, n = g
+    a, total = seq.a, 0
+    yield total
+    for m in range(1, n):
+        delta, i, _ = graph._jaconian_at(seq, m)
+        total += m - i + (delta != a * i)
+        yield total
 
 
 def milestone_delta(a: int) -> int:
@@ -370,13 +369,13 @@ def _claim_hope_complete(a, n):
 
 
 def _claim_edge_triple(a, n):
-    # the recurrence is checked against the two closed forms at every
-    # prefix, and the last prefix also against the literal out-degree sum
-    seq = sequences.c_series(a, n)
-    for m, rec in enumerate(edge_count_recursive(a, n), 1):
-        g = graph.JacoGraph(seq, m)
-        direct = graph.edge_count_direct(g)
-        thm = edge_count_theorem(g)
+    # the prefix views and the recurrence run to the longer end, so a short recurrence
+    # reads None at its first missing m and a long one meets None forms at n + 1
+    g = graph.build(a, n)
+    views = map(graph.JacoGraph, repeat(g.seq), range(1, n + 1))
+    for m, (view, rec) in enumerate(zip_longest(views, edge_count_recursive(g)), 1):
+        direct = view and graph.edge_count_direct(view)
+        thm = view and edge_count_theorem(view)
         if not direct == thm == rec:
             return f"a={a} n={m} direct={direct} theorem={thm} recursive={rec}"
     literal = oracles.out_degree_sum(g, n)

@@ -104,8 +104,8 @@ def test_06_edge_count_triple_agreement():
         assert edge_count_direct(build(1, 8)) == 13
         assert edge_count_direct(build(2, 5)) == 8
         for a in range(1, 5):
-            recursive = edge_count_recursive(a, 2000)
             seq = c_series(a, 2000)
+            recursive = list(edge_count_recursive(JacoGraph(seq, 2000)))
             for n in range(1, 2001):
                 g = JacoGraph(seq, n)
                 direct = edge_count_direct(g)

@@ -1,7 +1,7 @@
 import tracemalloc
 from bisect import insort
 from collections import Counter
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 
 import pytest
@@ -83,17 +83,45 @@ class TestEdgeCounts:
         assert edge_count_theorem(build(1, 2)) == 1
 
     def test_recursive_examples(self):
-        assert edge_count_recursive(1, 8) == [0, 1, 2, 3, 5, 7, 10, 13]
-        assert edge_count_recursive(2, 5) == [0, 1, 3, 5, 8]
-        assert edge_count_recursive(3, 4) == [0, 1, 3, 6]
+        assert list(edge_count_recursive(build(1, 8))) == [0, 1, 2, 3, 5, 7, 10, 13]
+        assert list(edge_count_recursive(build(2, 5))) == [0, 1, 3, 5, 8]
+        assert list(edge_count_recursive(build(3, 4))) == [0, 1, 3, 6]
 
     @pytest.mark.parametrize("a", [1, 2, 3, 4])
     def test_triple_agreement(self, a):
-        recursive = edge_count_recursive(a, 400)
+        recursive = list(edge_count_recursive(build(a, 400)))
         for n in range(1, 401):
             g = build(a, n)
             direct = edge_count_direct(g)
             assert direct == edge_count_theorem(g) == recursive[n - 1]
+
+    def test_triple_claim_builds_one_table(self, monkeypatch):
+        # the recurrence walks the claim's own graph, not a table of its own
+        calls = []
+        real = sequences.c_series
+
+        def counted(a, horizon):
+            calls.append((a, horizon))
+            return real(a, horizon)
+
+        monkeypatch.setattr(sequences, "c_series", counted)
+        assert analysis._claim_edge_triple(2, 300) is None
+        assert calls == [(2, 300)]
+
+    def test_triple_claim_peaks_near_its_table(self):
+        # the totals stream beside the prefix views: a second table and a
+        # stored column of n totals made the peak about 2.7 times the table's
+        n = 10**4
+        tracemalloc.start()
+        try:
+            sequences.c_series(1, n)
+            alone = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            assert analysis._claim_edge_triple(1, n) is None
+            claim = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert claim <= 1.25 * alone, f"claim {claim} table {alone}"
 
     @given(a=st.integers(1, 40), n=st.integers(1, 3000), data=st.data())
     @settings(max_examples=100, deadline=None)
@@ -402,7 +430,7 @@ class TestVerifySuite:
             ),
             pytest.param(
                 (analysis, "edge_count_recursive"),
-                lambda real: lambda a, n: [e + (i == 20) for i, e in enumerate(real(a, n))],
+                lambda real: lambda g: (e + (i == 20) for i, e in enumerate(real(g))),
                 (1, 1, 40),
                 # the triple claim reads the public recurrence, not a copy of it
                 {
@@ -411,6 +439,31 @@ class TestVerifySuite:
                     ),
                 },
                 id="edge_count_recursive",
+            ),
+            pytest.param(
+                (analysis, "edge_count_recursive"),
+                lambda real: lambda g: islice(real(g), g.n - 5),
+                (1, 1, 40),
+                # the recurrence ends five prefixes early: the claim names the
+                # first missing one instead of raising
+                {
+                    "analysis.edge_count_triple_agreement": (
+                        "a=1 n=36 direct=250 theorem=250 recursive=None"
+                    ),
+                },
+                id="edge_count_recursive_short",
+            ),
+            pytest.param(
+                (analysis, "edge_count_recursive"),
+                lambda real: lambda g: chain(real(g), [99]),
+                (1, 1, 40),
+                # one total past J_n: the closed forms have no prefix there
+                {
+                    "analysis.edge_count_triple_agreement": (
+                        "a=1 n=41 direct=None theorem=None recursive=99"
+                    ),
+                },
+                id="edge_count_recursive_long",
             ),
             pytest.param(
                 (oracles, "c_series_bruteforce"),
@@ -942,8 +995,6 @@ class TestVerifySuite:
             verify_suite(2, 1, 10)
         with pytest.raises(ValueError):
             verify_suite(1, 1, 0)
-        with pytest.raises(ValueError):
-            edge_count_recursive(2, 0)
 
 
 def test_prefix_searches_do_not_rescan_per_prefix(monkeypatch):
@@ -985,7 +1036,8 @@ def test_prefix_walkers_build_no_jaconian_record(monkeypatch):
     monkeypatch.setattr(graph, "JaconianInfo", Counted)
     milestone_delta(12)
     milestone_delta(24)
-    edge_count_recursive(2, 200)
+    # a generator runs only as it is read
+    list(edge_count_recursive(build(2, 200)))
     seq = sequences.c_series(2, 200)
     for m in range(1, 201):
         graph.hope_is_complete(graph.JacoGraph(seq, m))

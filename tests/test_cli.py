@@ -470,6 +470,35 @@ class TestExitStatus:
         assert out == ""
         assert err.startswith("jaco: input too large") and err.count("\n") == 1
 
+    # sizes that really allocate: each child runs under an address-space
+    # limit of 512 MB, set in that child alone between fork and exec, so its
+    # table or text is refused with a MemoryError where, unlimited, it could
+    # be killed by the kernel's out-of-memory handler
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs Linux RLIMIT_AS")
+    @pytest.mark.parametrize("argv", [
+        "build --a 1 --n 100000",
+        f"seq --a 1 --horizon {10**8}",
+        f"verify --a-min 1 --a-max 1 --n {10**7}",
+        f"paths --a 1 --n {10**8}",
+        "milestone --a 100000",
+        f"conjecture --n {10**7}",
+    ], ids=lambda argv: argv.split()[0])
+    def test_input_past_the_address_space_exits_2(self, tmp_path, argv):
+        import resource
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+        env = {**os.environ, "PYTHONPATH": PACKAGE_ROOT}
+        proc = subprocess.run(
+            [sys.executable, "-m", "jaco.cli", *argv.split(), "--out", str(tmp_path / "out")],
+            capture_output=True, env=env, cwd=tmp_path, preexec_fn=limit, timeout=120,
+        )
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr == b"jaco: input too large (MemoryError)\n"
+        # neither the --out target nor a .jaco-*.tmp file beside it
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("command", sorted(cli._HANDLERS))
     def test_help_lists_out(self, capsys, command):
         with pytest.raises(SystemExit) as exc:
