@@ -431,12 +431,12 @@ def _claim_psi_enumeration(a, n):
 
 
 def _claim_uniqueness_biconditional(a, n):
-    # (U) is recomputed from the path counts and the Liz set, and the
-    # report must carry the same three fields: its own mismatches are not
+    # (U) is recomputed from the path counts and the Liz set; the report
+    # must carry the same unique column and no mismatches, its verdict not
     # taken as given.  The report comes first, so the path table that
     # uniqueness_check builds is gone before the shared one is built.  The
-    # recomputed columns are iterators, each made afresh for every pass, so
-    # the claim holds no column of its own beside the report and the table
+    # recomputed columns are iterators, made afresh for every pass, so the
+    # claim holds no column of its own beside the report and the table
     g = graph.build(a, n)
     report = paths.uniqueness_check(g)
     psi, c = _path_table(g).psi, g.seq.c
@@ -445,13 +445,11 @@ def _claim_uniqueness_biconditional(a, n):
     def unique():  # the column from j = 1 on; j = 0 is no vertex and reads False
         return map((1).__eq__, islice(psi, 1, None))
 
-    def criterion():
-        return map(liz.__contains__, islice(c, 1, n + 1))
-
-    j = next(compress(count(1), map(ne, unique(), criterion())), None)
+    criterion = map(liz.__contains__, islice(c, 1, n + 1))
+    j = next(compress(count(1), map(ne, unique(), criterion)), None)
     if j is not None:
         return f"a={a} j={j} unique={psi[j] == 1} liz={c[j] in liz}"
-    columns = (chain((False,), unique()), chain((False,), criterion()), ())
+    columns = (chain((False,), unique()), ())
     for field, want, got in zip(report._fields, columns, report):
         k = next(compress(count(), starmap(ne, zip_longest(want, got))), None)
         if k is not None:

@@ -67,13 +67,13 @@ class PathTable(namedtuple("PathTable", "dist psi")):
     __slots__ = ()
 
 
-class UniquenessReport(namedtuple("UniquenessReport", "unique criterion mismatches")):
+class UniquenessReport(namedtuple("UniquenessReport", "unique mismatches")):
     """Per-vertex comparison of path uniqueness with the Liz criterion (U).
 
     unique[j] is whether v_j has exactly one shortest path from v_1;
-    criterion[j] is whether c[j] is a Liz number of the graph's order;
-    mismatches lists every j where the two disagree, which the level
-    theorem says never happens.
+    mismatches lists every j where unique[j] differs from "c[j] is a Liz
+    number of the graph's order", which the level theorem says never
+    happens.
     """
 
     __slots__ = ()
@@ -209,8 +209,8 @@ def uniqueness_check(g: graph.JacoGraph) -> UniquenessReport:
     Both sides are found by search, not by a pass per vertex in Python.  The
     ones of psi come from tuple.index scans, and each Liz number b <= c[n]
     marks its run of c[1..n] with two bisections.  That needs c[0..n] to be
-    non-decreasing, which seq.monotone_step checks.  The mismatches are the
-    positions in one of the two sets only, ascending.
+    non-decreasing, which seq.monotone_step checks.  The runs feed only the
+    mismatches: the positions in one of the two sets only, ascending.
     """
     psi = path_table(g).psi
     n, c = g.n, g.seq.c
@@ -222,6 +222,7 @@ def uniqueness_check(g: graph.JacoGraph) -> UniquenessReport:
             ones.append(j)
     except ValueError:
         pass
+    del psi  # before any column is built, so the peak is path_table's
     liz = sequences.recurrence_terms(g.a, 1, 1, at_least=c[n])
     runs = []
     for b in takewhile(c[n].__ge__, liz[1:]):  # liz[1:] holds no repeat
@@ -230,11 +231,8 @@ def uniqueness_check(g: graph.JacoGraph) -> UniquenessReport:
     unique = [False] * (n + 1)
     for j in ones:
         unique[j] = True
-    criterion = [False] * (n + 1)
-    for run in runs:
-        criterion[run.start : run.stop] = [True] * len(run)
     mismatches = tuple(sorted(set(ones).symmetric_difference(chain.from_iterable(runs))))
-    return UniquenessReport(tuple(unique), tuple(criterion), mismatches)
+    return UniquenessReport(tuple(unique), mismatches)
 
 
 def conjecture_scan(n_max: int) -> ConjectureReport:

@@ -827,7 +827,9 @@ class TestVerifySuite:
         # uniqueness_check builds for itself is gone before the shared one
         # is built, and the two are never alive together; the columns it
         # recomputes are iterators, so the claims stay within a fifth of
-        # one uniqueness_check (1.15 at CPython 3.10 to 3.12)
+        # one uniqueness_check (1.10 on CPython 3.11, where that check now
+        # peaks inside its own path table; 1.07 when it also built a Liz
+        # column beside the counts)
         ids = {
             "paths.uniqueness_biconditional",
             "paths.level_ends_are_liz",

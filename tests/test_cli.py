@@ -3,6 +3,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tempfile
 import threading
 import tracemalloc
 from pathlib import Path
@@ -26,6 +27,21 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_limited(argv, cwd, timeout):
+    """Run python -m jaco.cli argv in a child whose address space is capped
+    at 512 MB, set in that child alone between fork and exec, so a large
+    table or text is refused with a MemoryError where, unlimited, it could
+    be killed by the kernel's out-of-memory handler."""
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    env = {**os.environ, "PYTHONPATH": PACKAGE_ROOT}
+    return subprocess.run([sys.executable, "-m", "jaco.cli", *argv], capture_output=True,
+                          env=env, cwd=cwd, preexec_fn=limit, timeout=timeout)
 
 
 class TestBuild:
@@ -470,10 +486,7 @@ class TestExitStatus:
         assert out == ""
         assert err.startswith("jaco: input too large") and err.count("\n") == 1
 
-    # sizes that really allocate: each child runs under an address-space
-    # limit of 512 MB, set in that child alone between fork and exec, so its
-    # table or text is refused with a MemoryError where, unlimited, it could
-    # be killed by the kernel's out-of-memory handler
+    # sizes that really allocate, each in a child under run_limited
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs Linux RLIMIT_AS")
     @pytest.mark.parametrize("argv", [
         "build --a 1 --n 100000",
@@ -484,16 +497,7 @@ class TestExitStatus:
         f"conjecture --n {10**7}",
     ], ids=lambda argv: argv.split()[0])
     def test_input_past_the_address_space_exits_2(self, tmp_path, argv):
-        import resource
-
-        def limit():
-            resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
-
-        env = {**os.environ, "PYTHONPATH": PACKAGE_ROOT}
-        proc = subprocess.run(
-            [sys.executable, "-m", "jaco.cli", *argv.split(), "--out", str(tmp_path / "out")],
-            capture_output=True, env=env, cwd=tmp_path, preexec_fn=limit, timeout=120,
-        )
+        proc = run_limited([*argv.split(), "--out", str(tmp_path / "out")], tmp_path, 120)
         assert (proc.returncode, proc.stdout) == (2, b"")
         assert proc.stderr == b"jaco: input too large (MemoryError)\n"
         # neither the --out target nor a .jaco-*.tmp file beside it
@@ -541,29 +545,28 @@ _SWITCHES = ["--psi", "--oracle-psi", "--check-closed-form", "--help", "--bogus"
 # mostly well-formed sizes <= 60, so that many argvs get past the parser
 _VALUES = (st.integers(1, 60).map(str) | st.integers(-2, 60).map(str)
            | st.sampled_from(["", "x", "1.5", "-", "0x3", " 4", "--a", "1e2"]))
+_FORMATS = st.sampled_from(["dot", "json", "csv", "svg"])
 # sizes past 2**60 are refused before any allocation; never for an order,
 # where verify would loop over the grid for ever
 _SIZES = _VALUES | st.integers(2**61, 2**64).map(str)
-_VALUES_OF = {"--n": _SIZES, "--horizon": _SIZES,
-              "--format": st.sampled_from(["dot", "json", "csv", "svg"])}
+_VALUES_OF = {"--n": _SIZES, "--horizon": _SIZES, "--format": _FORMATS}
 
 
 @st.composite
-def _argvs(draw, out_dir):
+def _argvs(draw, outs, values=_VALUES, values_of=_VALUES_OF):
     command = draw(st.sampled_from(sorted(_REQUIRED)))
     argv = [command]
     for flag in _REQUIRED[command]:
-        argv += [flag, draw(_VALUES_OF.get(flag, _VALUES))]
+        argv += [flag, draw(values_of.get(flag, values))]
     for _ in range(draw(st.integers(0, 3))):
         kind = draw(st.integers(0, 2))
         if kind == 0:
             argv.append(draw(st.sampled_from(_SWITCHES)))
         elif kind == 1:
-            name = draw(st.sampled_from(["x.txt", "missing/x.txt"]))
-            argv += ["--out", str(out_dir / name)]
+            argv += ["--out", draw(st.sampled_from(outs))]
         else:
             flag = draw(st.sampled_from(_VALUE_FLAGS))
-            argv += [flag, draw(_VALUES_OF.get(flag, _VALUES))]
+            argv += [flag, draw(values_of.get(flag, values))]
     return argv
 
 
@@ -571,10 +574,35 @@ def _argvs(draw, out_dir):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_fuzzed_argv_ends_in_a_documented_exit_code(capsys, tmp_path, data):
-    argv = data.draw(_argvs(tmp_path))
+    argv = data.draw(_argvs([str(tmp_path / "x.txt"), str(tmp_path / "missing/x.txt")]))
     try:
         code = main(argv)
     except SystemExit as exc:
         code = exc.code
     capsys.readouterr()
     assert code in (0, 1, 2, 3), argv
+
+
+# every size and order in 1..60, which finish at once, or in 10**9..10**12,
+# which the limit refuses at the first table; sizes between can run for
+# seconds instead (verify at 10**6 takes about 27 s).  verify's grid walks
+# every order from --a-min to --a-max, so those two stay small
+_SMALL = st.integers(1, 60).map(str)
+_SMALL_OR_PAST_MEMORY = _SMALL | st.integers(10**9, 10**12).map(str)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs Linux RLIMIT_AS")
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_argv_under_an_address_space_limit_ends_in_a_documented_exit_code(tmp_path, data):
+    # --out into the child's empty working directory or onto that directory
+    argv = data.draw(_argvs(["x.txt", "."], _SMALL_OR_PAST_MEMORY,
+                            {"--a-min": _SMALL, "--a-max": _SMALL, "--format": _FORMATS}))
+    cwd = Path(tempfile.mkdtemp(dir=tmp_path))
+    proc = run_limited(argv, cwd, 60)
+    assert proc.returncode in (0, 1, 2, 3), argv
+    assert b"Traceback" not in proc.stderr, argv
+    if b"MemoryError" in proc.stderr:
+        assert (proc.returncode, proc.stderr) == (2, b"jaco: input too large (MemoryError)\n")
+    assert not list(cwd.glob(".jaco-*.tmp")), argv

@@ -7,8 +7,8 @@ import pytest
 
 from jaco import export
 from jaco.export import seq_dump, to_csv, to_dot, to_json
-from jaco.graph import arcs, build, degree_profile, jaconian
-from jaco.oracles import naive_build
+from jaco.graph import arcs, build
+from jaco.oracles import c_series_bruteforce, naive_build
 from jaco.sequences import c_series
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -151,14 +151,22 @@ def test_rendering_is_stable_across_calls():
         assert to_json(build(2, 7)) == to_json(build(2, 7))
 
 
-# Per-arc reference renderers: one formatted line (or [i, j] pair) per arc of
-# graph.arcs.  The renderers under test emit each tail's arcs as one block
-# and must produce exactly these bytes.
+# Reference renderers from the definitions: the arcs of oracles.naive_build,
+# and the degrees, the maximum degree, the Jaconian set, the prime index and
+# the Hope pair counted from its lists.  No route of graph is read, so a
+# fault in arcs, degree_profile or jaconian cannot pass through a renderer
+# and its reference alike.  The renderers under test emit each tail's arcs
+# as one block and must produce exactly these bytes, one line (or [i, j]
+# pair) per arc.
+
+
+def naive_arcs(g):
+    return [(i, j) for i, h in enumerate(naive_build(g.a, g.n)[1]) for j in h]
 
 
 def reference_dot(g):
     lines = [f"digraph jaco_a{g.a}_n{g.n} {{"]
-    arc_list = list(arcs(g))
+    arc_list = naive_arcs(g)
     if not arc_list:
         lines.append("  v1;")
     for i, j in arc_list:
@@ -168,28 +176,43 @@ def reference_dot(g):
 
 
 def reference_json(g):
-    profile = degree_profile(g)
-    info = jaconian(g)
-    hope = [info.hope_range[0], info.hope_range[-1]] if len(info.hope_range) else None
+    tails, heads = naive_build(g.a, g.n)
+    d_in = [len(t) for t in tails[1:]]
+    d_out = [len(h) for h in heads[1:]]
+    total = [x + y for x, y in zip(d_in, d_out)]
+    delta = max(total)
+    jaconian_set = [i for i, d in enumerate(total, 1) if d == delta]
+    prime = jaconian_set[0]
     payload = {
         "a": g.a,
         "n": g.n,
-        "edges": [[i, j] for i, j in arcs(g)],
-        "in_degree": list(profile.d_in[1:]),
-        "out_degree": list(profile.d_out_finite[1:]),
-        "total_degree": list(profile.d_total[1:]),
-        "delta": info.delta,
-        "jaconian": list(info.jaconian_set),
-        "prime": info.prime_index,
-        "hope": hope,
+        "edges": [[i, j] for i, h in enumerate(heads) for j in h],
+        "in_degree": d_in,
+        "out_degree": d_out,
+        "total_degree": total,
+        "delta": delta,
+        "jaconian": jaconian_set,
+        "prime": prime,
+        # the vertices above the prime index, none when it is v_n
+        "hope": [prime + 1, g.n] if prime < g.n else None,
     }
     return json.dumps(payload) + "\n"
 
 
 def reference_csv(g):
     lines = ["tail,head"]
-    lines.extend(f"{i},{j}" for i, j in arcs(g))
+    lines.extend(f"{i},{j}" for i, j in naive_arcs(g))
     return "\n".join(lines) + "\n"
+
+
+def reference_seq_dump(a, horizon):
+    # c by brute force; v_n of the infinite graph has in-neighbors
+    # v_c[n]..v_{n-1} and out-neighbors v_{n+1}..v_{a*n + c[n]}
+    rows = [
+        f"{n}\t{cn}\t{n - cn}\t{a * n + cn - n}\t{a * n + cn}\n"
+        for n, cn in enumerate(c_series_bruteforce(a, horizon))
+    ]
+    return "n\tc\td_minus\td_plus\treach\n" + "".join(rows)
 
 
 RENDERERS = [
@@ -211,6 +234,14 @@ class TestMatchesPerArcReference:
     def test_large_n(self, render, reference, a, n):
         g = build(a, n)
         assert render(g) == reference(g)
+
+
+@pytest.mark.parametrize("a", range(1, 6))
+def test_seq_dump_matches_the_bruteforce_reference(a):
+    for horizon in range(61):
+        assert seq_dump(c_series(a, horizon)) == reference_seq_dump(a, horizon), (
+            f"a={a} horizon={horizon}"
+        )
 
 
 @pytest.mark.parametrize("a", range(1, 6))

@@ -176,11 +176,14 @@ class TestPsiFast:
 
 class TestUniqueness:
     def test_examples(self):
+        c = build(1, 9).seq.c
+        fibonacci = set(recurrence_terms(1, 1, 1, at_least=9))
         report = uniqueness_check(build(1, 9))
         assert not report.mismatches
-        assert report.unique[8] and report.criterion[8]  # d+ = 5 is Fibonacci
-        assert not report.unique[9] and not report.criterion[9]  # d+ = 6 is not
-        assert report.unique[1] and report.criterion[1]
+        assert (c[1], c[8], c[9]) == (1, 5, 6)
+        assert report.unique[8] and 5 in fibonacci  # d+ = 5 is Fibonacci
+        assert not report.unique[9] and 6 not in fibonacci  # d+ = 6 is not
+        assert report.unique[1] and 1 in fibonacci
 
     def test_biconditional_holds_to_2000(self):
         report = uniqueness_check(build(1, 2000))
@@ -188,9 +191,12 @@ class TestUniqueness:
 
     def test_liz_criterion_at_higher_orders(self):
         # at a = 2 the Liz numbers are 1, 3, 7, 17: c[6] = 3 and c[16] = 7
+        c = build(2, 20).seq.c
+        liz = recurrence_terms(2, 1, 1, at_least=20)
+        assert liz[1:5] == [1, 3, 7, 17]
         report = uniqueness_check(build(2, 20))
         assert [j for j in range(1, 21) if report.unique[j]] == [1, 2, 3, 6, 7, 16, 17]
-        assert report.criterion == report.unique
+        assert report.unique == (False, *(c[j] in liz for j in range(1, 21)))
         assert report.mismatches == ()
 
     @given(a=st.integers(1, 6), n=st.integers(1, 3000), data=st.data())
@@ -228,8 +234,29 @@ class TestUniqueness:
         monkeypatch.setattr(paths, "path_table", lambda g: faulty)
         report = uniqueness_check(g)
         assert report.mismatches == tuple(sorted((non_liz, at_liz)))
-        assert report.unique[non_liz] and not report.criterion[non_liz]
-        assert report.criterion[at_liz] and not report.unique[at_liz]
+        liz = set(recurrence_terms(a, 1, 1, at_least=n))
+        assert report.unique[non_liz] and g.seq.c[non_liz] not in liz
+        assert g.seq.c[at_liz] in liz and not report.unique[at_liz]
+
+    def test_report_holds_only_its_verdict(self):
+        assert paths.UniquenessReport._fields == ("unique", "mismatches")
+
+    @pytest.mark.parametrize("a", [1, 3])
+    def test_peak_is_the_path_tables(self, a):
+        # the path counts are dropped before the unique column is built, so
+        # the check peaks inside path_table; a Liz column built beside the
+        # counts read 1.43-1.45 times that at n = 10**5
+        g = build(a, 100_000)
+        peaks = []
+        for route in (path_table, uniqueness_check):
+            tracemalloc.start()
+            try:
+                route(g)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        table, check = peaks
+        assert check <= 1.05 * table, f"uniqueness_check {check} path_table {table}"
 
     def test_fibonacci_indices_have_unique_paths(self):
         psi = psi_oracle(build(1, 1000))
@@ -245,7 +272,6 @@ def assert_uniqueness_by_definition(g):
     liz = set(recurrence_terms(g.a, 1, 1, at_least=c[n]))
     report = uniqueness_check(g)
     assert report.unique == (False, *(psi[j] == 1 for j in range(1, n + 1)))
-    assert report.criterion == (False, *(c[j] in liz for j in range(1, n + 1)))
     assert report.mismatches == tuple(
         j for j in range(1, n + 1) if (psi[j] == 1) != (c[j] in liz)
     )
