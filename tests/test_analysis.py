@@ -226,6 +226,15 @@ class TestVerifySuite:
                 id="uniqueness_report_not_trusted",
             ),
             pytest.param(
+                (paths, "bisect_right"),
+                lambda real: lambda c, b, lo, hi: real(c, b, lo, hi) - (b == 8),
+                (1, 3, 200),
+                # the route's run of c = 8 ends one vertex short; with no
+                # criterion column stored, the fault shows in its mismatches
+                {"paths.uniqueness_biconditional": "a=1 report mismatches[0]=13"},
+                id="uniqueness_liz_run_short",
+            ),
+            pytest.param(
                 (paths, "psi_oracle"),
                 lambda real: lambda g: tuple(
                     p + (g.n == 40 and j == 8) for j, p in enumerate(real(g))

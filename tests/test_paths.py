@@ -176,9 +176,10 @@ class TestPsiFast:
 
 class TestUniqueness:
     def test_examples(self):
-        c = build(1, 9).seq.c
+        g = build(1, 9)
+        c = g.seq.c
         fibonacci = set(recurrence_terms(1, 1, 1, at_least=9))
-        report = uniqueness_check(build(1, 9))
+        report = uniqueness_check(g)
         assert not report.mismatches
         assert (c[1], c[8], c[9]) == (1, 5, 6)
         assert report.unique[8] and 5 in fibonacci  # d+ = 5 is Fibonacci
@@ -191,10 +192,11 @@ class TestUniqueness:
 
     def test_liz_criterion_at_higher_orders(self):
         # at a = 2 the Liz numbers are 1, 3, 7, 17: c[6] = 3 and c[16] = 7
-        c = build(2, 20).seq.c
+        g = build(2, 20)
+        c = g.seq.c
         liz = recurrence_terms(2, 1, 1, at_least=20)
         assert liz[1:5] == [1, 3, 7, 17]
-        report = uniqueness_check(build(2, 20))
+        report = uniqueness_check(g)
         assert [j for j in range(1, 21) if report.unique[j]] == [1, 2, 3, 6, 7, 16, 17]
         assert report.unique == (False, *(c[j] in liz for j in range(1, 21)))
         assert report.mismatches == ()
